@@ -1,23 +1,60 @@
 #include "crypto/identity.hpp"
 
+#include <charconv>
 #include <utility>
 
 namespace dharma::crypto {
 
-std::string Credential::signedPayload() const {
-  std::string s;
-  s.reserve(userId.size() + 64);
-  s += "cred|";
-  s += userId;
-  s += '|';
-  s += toHex(nodeId);
-  s += '|';
-  s += std::to_string(expiresAt);
-  return s;
+namespace {
+
+/// Absorbs the lower-case hex rendering of \p d (the bytes toHex(d) holds).
+void updateHex(Sha1& h, const Digest160& d) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char hex[40];
+  for (usize i = 0; i < d.size(); ++i) {
+    hex[2 * i] = kDigits[d[i] >> 4];
+    hex[2 * i + 1] = kDigits[d[i] & 0xf];
+  }
+  h.update(std::string_view(hex, sizeof(hex)));
 }
 
+/// Absorbs the decimal rendering of \p v (the bytes std::to_string(v) holds).
+void updateDecimal(Sha1& h, u64 v) {
+  char buf[20];
+  char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  h.update(std::string_view(buf, static_cast<usize>(end - buf)));
+}
+
+}  // namespace
+
 CertificationService::CertificationService(std::string secret, std::string salt)
-    : secret_(std::move(secret)), salt_(std::move(salt)) {}
+    : mac_(secret), salt_(std::move(salt)) {}
+
+Digest160 CertificationService::credentialMac(std::string_view userId,
+                                              const Digest160& nodeId,
+                                              u64 expiresAt) const {
+  Sha1 h = mac_.begin();
+  h.update("cred|");
+  h.update(userId);
+  h.update("|");
+  updateHex(h, nodeId);
+  h.update("|");
+  updateDecimal(h, expiresAt);
+  return mac_.finish(h);
+}
+
+Digest160 CertificationService::contentMac(std::string_view userId,
+                                           std::string_view keyHex,
+                                           std::string_view content) const {
+  Sha1 h = mac_.begin();
+  h.update("tok|");
+  h.update(userId);
+  h.update("|");
+  h.update(keyHex);
+  h.update("|");
+  h.update(content);
+  return mac_.finish(h);
+}
 
 Digest160 CertificationService::nodeIdFor(std::string_view userId) const {
   std::string material;
@@ -34,46 +71,28 @@ Credential CertificationService::enroll(std::string_view userId,
   c.userId = std::string(userId);
   c.nodeId = nodeIdFor(userId);
   c.expiresAt = expiresAt;
-  c.mac = hmacSha1(secret_, c.signedPayload());
+  c.mac = credentialMac(c.userId, c.nodeId, c.expiresAt);
   return c;
 }
 
 bool CertificationService::verify(const Credential& c, u64 now) const {
-  if (c.expiresAt != 0 && now > c.expiresAt) return false;
-  Digest160 expected = hmacSha1(secret_, c.signedPayload());
-  return digestEqual(expected, c.mac);
+  if (!c.validAt(now)) return false;
+  return digestEqual(credentialMac(c.userId, c.nodeId, c.expiresAt), c.mac);
 }
 
 ContentSignature CertificationService::signContent(std::string_view userId,
                                                    std::string_view keyHex,
                                                    std::string_view content) const {
-  std::string payload;
-  payload.reserve(userId.size() + keyHex.size() + content.size() + 8);
-  payload += "tok|";
-  payload += userId;
-  payload += '|';
-  payload += keyHex;
-  payload += '|';
-  payload += content;
   ContentSignature sig;
   sig.userId = std::string(userId);
-  sig.mac = hmacSha1(secret_, payload);
+  sig.mac = contentMac(userId, keyHex, content);
   return sig;
 }
 
 bool CertificationService::verifyContent(const ContentSignature& sig,
                                          std::string_view keyHex,
                                          std::string_view content) const {
-  std::string payload;
-  payload.reserve(sig.userId.size() + keyHex.size() + content.size() + 8);
-  payload += "tok|";
-  payload += sig.userId;
-  payload += '|';
-  payload += keyHex;
-  payload += '|';
-  payload += content;
-  Digest160 expected = hmacSha1(secret_, payload);
-  return digestEqual(expected, sig.mac);
+  return digestEqual(contentMac(sig.userId, keyHex, content), sig.mac);
 }
 
 }  // namespace dharma::crypto

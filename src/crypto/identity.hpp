@@ -18,7 +18,8 @@
 /// Substitution note (docs/DESIGN.md §2): Likir signs with RSA; we use HMAC-SHA1
 /// keyed by the CS. Verification in a real deployment would use the CS
 /// public key; here every node holds a verification handle to the single
-/// simulated CS. The accept/reject code paths are identical.
+/// simulated CS. The accept/reject code paths are identical. The service is
+/// immutable after construction, so shards share one instance unlocked.
 
 #include <optional>
 #include <string>
@@ -36,8 +37,10 @@ struct Credential {
   u64 expiresAt = 0;    ///< simulated-time expiry (0 = never)
   Digest160 mac{};      ///< CS authentication code over the fields above
 
-  /// Canonical byte string the MAC covers.
-  std::string signedPayload() const;
+  /// False once simulated time \p now has passed expiresAt.
+  bool validAt(u64 now) const { return expiresAt == 0 || now <= expiresAt; }
+
+  bool operator==(const Credential&) const = default;
 };
 
 /// Authorship proof attached to stored tokens.
@@ -74,8 +77,15 @@ class CertificationService {
   Digest160 nodeIdFor(std::string_view userId) const;
 
  private:
-  std::string secret_;
+  HmacSha1 mac_;  ///< keyed by the CS secret; read-only after construction
   std::string salt_;
+
+  /// MAC over "cred|<userId>|<hex nodeId>|<decimal expiresAt>".
+  Digest160 credentialMac(std::string_view userId, const Digest160& nodeId,
+                          u64 expiresAt) const;
+  /// MAC over "tok|<userId>|<keyHex>|<content>".
+  Digest160 contentMac(std::string_view userId, std::string_view keyHex,
+                       std::string_view content) const;
 };
 
 }  // namespace dharma::crypto

@@ -74,17 +74,18 @@ void Sha1::update(const u8* data, usize len) {
 }
 
 Digest160 Sha1::finish() {
-  u64 bitLen = totalLen_ * 8;
+  const u64 bitLen = totalLen_ * 8;
   // Append 0x80, pad with zeros to 56 mod 64, then 64-bit big-endian length.
-  u8 pad = 0x80;
-  update(&pad, 1);
-  u8 zero = 0x00;
-  while (blockLen_ != 56) update(&zero, 1);
-  u8 lenBytes[8];
-  for (int i = 0; i < 8; ++i) lenBytes[i] = static_cast<u8>(bitLen >> (56 - 8 * i));
-  // Bypass totalLen_ accounting for the length field itself.
-  std::memcpy(block_ + blockLen_, lenBytes, 8);
-  blockLen_ += 8;
+  block_[blockLen_++] = 0x80;
+  if (blockLen_ > 56) {
+    std::memset(block_ + blockLen_, 0, 64 - blockLen_);
+    processBlock(block_);
+    blockLen_ = 0;
+  }
+  std::memset(block_ + blockLen_, 0, 56 - blockLen_);
+  for (int i = 0; i < 8; ++i) {
+    block_[56 + i] = static_cast<u8>(bitLen >> (56 - 8 * i));
+  }
   processBlock(block_);
   blockLen_ = 0;
 

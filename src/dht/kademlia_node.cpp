@@ -452,6 +452,22 @@ void KademliaNode::observeSender(const Envelope& env) {
   });
 }
 
+bool KademliaNode::credentialAccepted(const crypto::Credential& c,
+                                      const NodeId& sender) {
+  // Likir: the credential must bind the claimed node id AND verify.
+  const u64 now = exec_.now();
+  if (NodeId::fromDigest(c.nodeId) != sender || !c.validAt(now)) {
+    return false;
+  }
+  auto it = verifiedCreds_.find(sender);
+  if (it != verifiedCreds_.end() && it->second == c) return true;
+  ++counters_.credentialMacChecks;
+  if (!cs_.verify(c, now)) return false;
+  if (verifiedCreds_.size() >= kVerifiedCredCap) verifiedCreds_.clear();
+  verifiedCreds_.insert_or_assign(sender, c);
+  return true;
+}
+
 void KademliaNode::onDatagram(net::Address from, const std::vector<u8>& data) {
   DHARMA_ASSERT_AFFINITY(&exec_, "KademliaNode::onDatagram");
   auto envOpt = Envelope::decode(data);
@@ -459,13 +475,10 @@ void KademliaNode::onDatagram(net::Address from, const std::vector<u8>& data) {
   Envelope& env = *envOpt;
   ++counters_.rpcsReceived;
 
-  if (cfg_.verifyCredentials) {
-    // Likir: the credential must verify AND bind the claimed node id.
-    if (!cs_.verify(env.credential, exec_.now()) ||
-        NodeId::fromDigest(env.credential.nodeId) != env.sender.id) {
-      ++counters_.credentialRejects;
-      return;
-    }
+  if (cfg_.verifyCredentials &&
+      !credentialAccepted(env.credential, env.sender.id)) {
+    ++counters_.credentialRejects;
+    return;
   }
   // Trust the transport source over the claimed address.
   env.sender.addr = from;

@@ -120,6 +120,7 @@ struct NodeCounters {
   u64 storesAccepted = 0;      ///< tokens applied on behalf of peers
   u64 storesRejectedAuth = 0;  ///< forged content signatures refused
   u64 credentialRejects = 0;   ///< datagrams dropped for bad credentials
+  u64 credentialMacChecks = 0; ///< credential HMACs computed (memo misses)
   u64 replySenderMismatches = 0; ///< replies echoing a pending rpcId from the wrong peer
   u64 sendRejects = 0;         ///< RPCs failed fast (datagram refused by the network)
   u64 putQuorumFailures = 0;   ///< PUTs acked by fewer replicas than intended
@@ -270,6 +271,17 @@ class KademliaNode {
   std::unordered_set<std::string> seenPuts_;
   std::deque<std::string> seenPutOrder_;
   static constexpr usize kSeenPutCap = 8192;
+
+  /// Credentials that passed cs_.verify, by node id. A datagram whose
+  /// credential equals its sender's entry field for field skips the HMAC
+  /// (equal fields give an equal MAC result); expiry is still checked on
+  /// every datagram and failures are never stored. Cleared when full.
+  std::unordered_map<NodeId, crypto::Credential, NodeIdHash> verifiedCreds_;
+  static constexpr usize kVerifiedCredCap = 1024;
+
+  /// Likir sender check: \p c must be unexpired, bind \p sender, and carry
+  /// a valid CS MAC (memoized per peer; see verifiedCreds_).
+  bool credentialAccepted(const crypto::Credential& c, const NodeId& sender);
 
   static std::string putDedupKey(const std::string& user, u64 putId,
                                  u32 chunk);

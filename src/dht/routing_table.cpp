@@ -1,8 +1,36 @@
 #include "dht/routing_table.hpp"
 
 #include <algorithm>
+#include <compare>
+#include <utility>
 
 namespace dharma::dht {
+
+namespace {
+
+/// An XOR distance as big-endian words: ordering the words orders the
+/// 160-bit distance, at a few integer compares instead of a byte loop.
+struct Distance {
+  u64 hi = 0;
+  u64 mid = 0;
+  u32 lo = 0;
+  auto operator<=>(const Distance&) const = default;
+};
+
+u64 loadBigEndian(const u8* p, usize n) {
+  u64 v = 0;
+  for (usize i = 0; i < n; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+Distance distanceTo(const NodeId& target, const NodeId& id) {
+  const NodeId d = xorDistance(target, id);
+  const u8* p = d.bytes.data();
+  return {loadBigEndian(p, 8), loadBigEndian(p + 8, 8),
+          static_cast<u32>(loadBigEndian(p + 16, 4))};
+}
+
+}  // namespace
 
 RoutingTable::RoutingTable(const NodeId& self, usize bucketCap) : self_(self) {
   buckets_.fill(KBucket(bucketCap));
@@ -45,18 +73,23 @@ bool RoutingTable::contains(const NodeId& id) const {
 }
 
 std::vector<Contact> RoutingTable::closest(const NodeId& target, usize n) const {
-  std::vector<Contact> all;
-  all.reserve(size());
+  // Each contact's distance is computed once; ids are distinct, so are
+  // their distances.
+  std::vector<std::pair<Distance, const Contact*>> ranked;
+  ranked.reserve(size());
   for (const auto& b : buckets_) {
-    all.insert(all.end(), b.entries().begin(), b.entries().end());
+    for (const Contact& c : b.entries()) {
+      ranked.emplace_back(distanceTo(target, c.id), &c);
+    }
   }
-  usize take = std::min(n, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(take), all.end(),
-                    [&](const Contact& a, const Contact& b) {
-                      return compareDistance(target, a.id, b.id) < 0;
-                    });
-  all.resize(take);
-  return all;
+  const usize take = std::min(n, ranked.size());
+  std::partial_sort(
+      ranked.begin(), ranked.begin() + static_cast<long>(take), ranked.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Contact> out;
+  out.reserve(take);
+  for (usize i = 0; i < take; ++i) out.push_back(*ranked[i].second);
+  return out;
 }
 
 NodeId RoutingTable::randomIdInBucket(usize bucket, Rng& rng) const {

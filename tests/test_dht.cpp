@@ -215,6 +215,123 @@ TEST(Dht, CredentialNodeIdBindingEnforced) {
   EXPECT_EQ(net.node(0).counters().credentialRejects, before + 1);
 }
 
+/// Sends node 0 a PING from node 1's address that carries \p cred and
+/// claims \p cred's node id, then settles the network.
+void pingNode0With(DhtNetwork& net, const crypto::Credential& cred) {
+  Envelope e;
+  e.type = RpcType::kPing;
+  e.rpcId = 779;
+  e.sender.id = NodeId::fromDigest(cred.nodeId);
+  e.sender.addr = net.node(1).address();
+  e.credential = cred;
+  net.network().send(net.node(1).address(), net.node(0).address(),
+                     e.encode());
+  net.sim().run();
+}
+
+/// Bootstraps an 8-node overlay and checks that user-1's genuine credential
+/// is in node 0's memo: a re-send is accepted without computing a MAC.
+void primeMemo(DhtNetwork& net) {
+  net.bootstrap();
+  const NodeCounters before = net.node(0).counters();
+  pingNode0With(net, net.cs().enroll("user-1"));
+  EXPECT_EQ(net.node(0).counters().credentialRejects, before.credentialRejects);
+  EXPECT_EQ(net.node(0).counters().credentialMacChecks,
+            before.credentialMacChecks);
+}
+
+/// Sends \p cred to node 0 and expects a reject that paid a full HMAC.
+void expectRejectedWithMac(DhtNetwork& net, const crypto::Credential& cred) {
+  const NodeCounters before = net.node(0).counters();
+  pingNode0With(net, cred);
+  EXPECT_EQ(net.node(0).counters().credentialRejects,
+            before.credentialRejects + 1);
+  EXPECT_EQ(net.node(0).counters().credentialMacChecks,
+            before.credentialMacChecks + 1);
+}
+
+TEST(Dht, CredentialMemoRejectsChangedExpiry) {
+  DhtNetwork net(smallConfig(8));
+  primeMemo(net);
+  crypto::Credential c = net.cs().enroll("user-1");
+  c.expiresAt = 1ull << 40;  // same nodeId and mac, different signed field
+  expectRejectedWithMac(net, c);
+  primeMemo(net);  // the genuine entry survived the forgery
+}
+
+TEST(Dht, CredentialMemoRejectsChangedUser) {
+  DhtNetwork net(smallConfig(8));
+  primeMemo(net);
+  crypto::Credential c = net.cs().enroll("user-1");
+  c.userId = "mallory";  // same nodeId and mac
+  expectRejectedWithMac(net, c);
+}
+
+TEST(Dht, CredentialMemoRejectsRogueServiceSameNodeId) {
+  DhtNetwork net(smallConfig(8));
+  primeMemo(net);
+  // Same salt, so the rogue service derives user-1's real node id.
+  crypto::CertificationService rogue("rogue-secret", "likir-42");
+  crypto::Credential c = rogue.enroll("user-1");
+  ASSERT_EQ(c.nodeId, net.cs().enroll("user-1").nodeId);
+  expectRejectedWithMac(net, c);
+}
+
+TEST(Dht, CredentialMemoRechecksExpiryOnHit) {
+  DhtNetwork net(smallConfig(8));
+  primeMemo(net);
+  const u64 expiry = net.sim().now() + 1000000;
+  const crypto::Credential c = net.cs().enroll("user-1", expiry);
+  NodeCounters before = net.node(0).counters();
+  pingNode0With(net, c);  // new fields: verified once, then memoized
+  EXPECT_EQ(net.node(0).counters().credentialRejects, before.credentialRejects);
+  EXPECT_EQ(net.node(0).counters().credentialMacChecks,
+            before.credentialMacChecks + 1);
+  pingNode0With(net, c);  // memo hit
+  EXPECT_EQ(net.node(0).counters().credentialMacChecks,
+            before.credentialMacChecks + 1);
+
+  net.runFor(2000000);
+  ASSERT_GT(net.sim().now(), expiry);
+  before = net.node(0).counters();
+  pingNode0With(net, c);
+  EXPECT_EQ(net.node(0).counters().credentialRejects,
+            before.credentialRejects + 1);
+}
+
+TEST(Dht, CredentialMemoVerifiesEachPeerOnce) {
+  DhtNetwork net(smallConfig(8));
+  net.bootstrap();
+  for (usize i = 0; i < 32; ++i) {
+    const NodeId key = NodeId::fromString("memo-" + std::to_string(i));
+    net.putBlocking(i % 8, key, inc("x", 1));
+    ASSERT_TRUE(net.getBlocking((i + 3) % 8, key).has_value());
+  }
+  u64 macChecks = 0, received = 0;
+  for (usize i = 0; i < net.size(); ++i) {
+    macChecks += net.node(i).counters().credentialMacChecks;
+    received += net.node(i).counters().rpcsReceived;
+    EXPECT_EQ(net.node(i).counters().credentialRejects, 0u);
+  }
+  // Fault-free, every node holds one credential: each receiver computes at
+  // most one MAC per peer, however many datagrams that peer sends.
+  EXPECT_LE(macChecks, net.size() * (net.size() - 1));
+  EXPECT_GT(received, 4 * macChecks);
+}
+
+TEST(Dht, CredentialChecksOffComputeNoMac) {
+  auto cfg = smallConfig(8);
+  cfg.node.verifyCredentials = false;
+  DhtNetwork net(cfg);
+  net.bootstrap();
+  crypto::CertificationService rogue("rogue-secret");
+  pingNode0With(net, rogue.enroll("evil"));
+  for (usize i = 0; i < net.size(); ++i) {
+    EXPECT_EQ(net.node(i).counters().credentialMacChecks, 0u);
+    EXPECT_EQ(net.node(i).counters().credentialRejects, 0u);
+  }
+}
+
 TEST(Dht, ForgedStoreRejected) {
   DhtNetwork net(smallConfig(8));
   net.bootstrap();

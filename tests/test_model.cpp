@@ -152,8 +152,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExactEquivalence,
 ///  - the TRG is identical under any maintenance mode;
 ///  - approximated arcs are a subset of exact arcs;
 ///  - approximated weights never exceed exact weights.
+/// `k` is 64-bit so the struct has no padding: gtest names each case by
+/// the case's raw bytes, and padding bytes would make those names vary
+/// from one build or run to the next.
 struct ApproxCase {
-  u32 k;
+  u64 k;
   u64 seed;
 };
 
@@ -163,7 +166,7 @@ TEST_P(ApproxInvariants, SubsetAndBounded) {
   auto [k, seed] = GetParam();
   Rng rng(seed);
   FolksonomyModel exact(exactMode(), seed);
-  FolksonomyModel approx(approxMode(k), seed);
+  FolksonomyModel approx(approxMode(static_cast<u32>(k)), seed);
   u32 nextRes = 0;
   constexpr u32 kTags = 15;
   // Same operation sequence into both models.

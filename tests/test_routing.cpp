@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace dharma::dht {
 namespace {
 
@@ -67,6 +69,36 @@ TEST(RoutingTable, ClosestIsGloballyBestWithRoomyBuckets) {
   Contact best = closest[0];
   for (u32 i = 0; i < 200; ++i) {
     EXPECT_LE(compareDistance(target, best.id, mk(i).id), 0);
+  }
+}
+
+TEST(RoutingTable, ClosestMatchesBruteForceSort) {
+  // Randomized against a full sort by compareDistance. A third of the ids
+  // share the target's top 8 or 16 bytes, so the ranking must also order
+  // distances that agree on their leading words.
+  Rng rng(2024);
+  for (int round = 0; round < 50; ++round) {
+    RoutingTable rt(NodeId::random(rng), /*bucketCap=*/8);
+    const NodeId target = NodeId::random(rng);
+    for (u32 i = 0; i < 300; ++i) {
+      Contact c;
+      c.id = NodeId::random(rng);
+      const usize shared = (i % 3 == 0) ? 8 * (1 + rng.uniform(2)) : 0;
+      std::copy_n(target.bytes.begin(), shared, c.id.bytes.begin());
+      c.addr = i;
+      rt.touch(c);
+    }
+    std::vector<Contact> all;
+    for (usize b = 0; b < 160; ++b) {
+      const auto& e = rt.bucket(b).entries();
+      all.insert(all.end(), e.begin(), e.end());
+    }
+    std::sort(all.begin(), all.end(), [&](const Contact& a, const Contact& b) {
+      return compareDistance(target, a.id, b.id) < 0;
+    });
+    const usize n = 1 + rng.uniform(40);
+    all.resize(std::min(n, all.size()));
+    EXPECT_EQ(rt.closest(target, n), all) << "round " << round;
   }
 }
 

@@ -323,5 +323,34 @@ TEST(BulkDriver, FailuresAreClassifiedNotDropped) {
   EXPECT_EQ(st.cost.lookups, 0u);
 }
 
+/// The Section V-B replay's traffic on a fixed seed, pinned as constants:
+/// skeleton first, then every annotation one by one through the
+/// approximated protocol on a lognormal-latency overlay. Changes to the
+/// wire protocol, to lookup routing or to which datagrams a node accepts
+/// show up here; a pure speed-up leaves every count as it is.
+TEST(BulkDriver, SeededReplayTrafficPinned) {
+  Dataset data = microDataset();
+  Trace trace = buildPaperOrderTrace(data.trg, 5);
+  dht::DhtNetworkConfig ncfg;
+  ncfg.nodes = 16;
+  ncfg.seed = 42;
+  dht::DhtNetwork net(ncfg);
+  net.bootstrap();
+  core::DharmaClient client(net, 0, core::DharmaConfig{}, 9);
+  BulkLoadOptions skeleton;
+  skeleton.batched = false;
+  BulkLoadStats st = loadTrace(client, data, {}, skeleton);
+  BulkLoadOptions replay;
+  replay.batched = false;
+  replay.insertFirst = false;
+  BulkLoadStats rs = loadTrace(client, data, trace, replay);
+
+  EXPECT_EQ(st.failures + rs.failures, 0u);
+  EXPECT_EQ(rs.annotations, trace.size());
+  EXPECT_EQ(st.cost.lookups + rs.cost.lookups, 469u);
+  EXPECT_EQ(net.network().stats().bytesSent, 4193069u);
+  EXPECT_EQ(net.sim().executed(), 17490u);
+}
+
 }  // namespace
 }  // namespace dharma::wl
