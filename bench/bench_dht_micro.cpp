@@ -143,6 +143,32 @@ void BM_Sha1(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
+// A replica's STORE apply: a 2-token batch into one block pre-filled to
+// `entries` entries. Validate-then-apply never copies the block, so the
+// cost per token should stay flat across block sizes.
+void BM_StoreApplyAll(benchmark::State& state) {
+  dht::BlockStore store;
+  const dht::NodeId key = dht::NodeId::fromString("apply-block");
+  const usize entries = static_cast<usize>(state.range(0));
+  std::vector<dht::StoreToken> fill;
+  for (usize i = 0; i < entries; ++i) {
+    fill.push_back(
+        {dht::TokenKind::kIncrement, "tag-" + std::to_string(i), 1, {}});
+  }
+  store.applyAll(key, fill, 0);
+  const std::vector<dht::StoreToken> batch = {
+      {dht::TokenKind::kIncrement, "tag-0", 1, {}},
+      {dht::TokenKind::kIncrementIfNewB,
+       "tag-" + std::to_string(entries / 2), 3, {}}};
+  net::SimTime now = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.applyAll(key, batch, ++now));
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(batch.size()));
+}
+BENCHMARK(BM_StoreApplyAll)->Arg(10)->Arg(100)->Arg(1000);
+
 // ---------------------------------------------------------------------------
 // Simulator hot path. Every simulated RPC costs ~3 events (send, deliver,
 // timeout) and nearly every timeout is cancelled, so schedule+cancel IS the

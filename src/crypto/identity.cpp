@@ -1,6 +1,7 @@
 #include "crypto/identity.hpp"
 
 #include <charconv>
+#include <type_traits>
 #include <utility>
 
 namespace dharma::crypto {
@@ -43,14 +44,19 @@ Digest160 CertificationService::credentialMac(std::string_view userId,
   return mac_.finish(h);
 }
 
+template <class Key>
 Digest160 CertificationService::contentMac(std::string_view userId,
-                                           std::string_view keyHex,
+                                           const Key& key,
                                            std::string_view content) const {
   Sha1 h = mac_.begin();
   h.update("tok|");
   h.update(userId);
   h.update("|");
-  h.update(keyHex);
+  if constexpr (std::is_same_v<Key, Digest160>) {
+    updateHex(h, key);
+  } else {
+    h.update(key);
+  }
   h.update("|");
   h.update(content);
   return mac_.finish(h);
@@ -93,6 +99,21 @@ bool CertificationService::verifyContent(const ContentSignature& sig,
                                          std::string_view keyHex,
                                          std::string_view content) const {
   return digestEqual(contentMac(sig.userId, keyHex, content), sig.mac);
+}
+
+ContentSignature CertificationService::signContent(
+    std::string_view userId, const Digest160& key,
+    std::string_view content) const {
+  ContentSignature sig;
+  sig.userId = std::string(userId);
+  sig.mac = contentMac(userId, key, content);
+  return sig;
+}
+
+bool CertificationService::verifyContent(const ContentSignature& sig,
+                                         const Digest160& key,
+                                         std::string_view content) const {
+  return digestEqual(contentMac(sig.userId, key, content), sig.mac);
 }
 
 }  // namespace dharma::crypto

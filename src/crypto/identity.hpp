@@ -73,6 +73,13 @@ class CertificationService {
   bool verifyContent(const ContentSignature& sig, std::string_view keyHex,
                      std::string_view content) const;
 
+  /// The same MACs for a key given as its digest: its lower-case hex is
+  /// streamed into the HMAC, so no hex string is built.
+  ContentSignature signContent(std::string_view userId, const Digest160& key,
+                               std::string_view content) const;
+  bool verifyContent(const ContentSignature& sig, const Digest160& key,
+                     std::string_view content) const;
+
   /// Deterministic node id for a user (same derivation enroll() uses).
   Digest160 nodeIdFor(std::string_view userId) const;
 
@@ -83,8 +90,10 @@ class CertificationService {
   /// MAC over "cred|<userId>|<hex nodeId>|<decimal expiresAt>".
   Digest160 credentialMac(std::string_view userId, const Digest160& nodeId,
                           u64 expiresAt) const;
-  /// MAC over "tok|<userId>|<keyHex>|<content>".
-  Digest160 contentMac(std::string_view userId, std::string_view keyHex,
+  /// MAC over "tok|<userId>|<keyHex>|<content>"; \p Key is the hex
+  /// string itself or the Digest160 it renders.
+  template <class Key>
+  Digest160 contentMac(std::string_view userId, const Key& key,
                        std::string_view content) const;
 };
 

@@ -49,9 +49,10 @@ struct KademliaNode::LookupTask {
   /// cache servers alike): never chosen as the path-cache target.
   std::vector<NodeId> holders;
 
-  /// Appends a span event when tracing; no-op (one branch) otherwise.
-  void ev(net::TimeUs t, const char* label, std::string detail = {}) {
-    if (traced) span.event(t, label, std::move(detail));
+  /// Appends a span event naming \p peer when tracing; no-op (one branch)
+  /// otherwise — the peer's hex is only formatted inside the branch.
+  void ev(net::TimeUs t, const char* label, const NodeId& peer) {
+    if (traced) span.event(t, label, peer.shortHex());
   }
 
   bool isHolder(const NodeId& id) const {
@@ -177,23 +178,26 @@ void KademliaNode::putMany(const NodeId& key, std::vector<StoreToken> tokens,
   putMany(key, std::move(tokens), allocatePutId(), std::move(cb));
 }
 
-std::string KademliaNode::putDedupKey(const std::string& user, u64 putId,
-                                      u32 chunk) {
-  return user + '#' + std::to_string(putId) + '#' + std::to_string(chunk);
+usize KademliaNode::PutDedupKeyHash::operator()(
+    const PutDedupKey& k) const noexcept {
+  usize h = std::hash<std::string>{}(k.user);
+  h ^= std::hash<u64>{}(k.putId) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  h ^= std::hash<u32>{}(k.chunk) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  return h;
 }
 
 bool KademliaNode::wasPutApplied(const std::string& user, u64 putId,
                                  u32 chunk) const {
-  return seenPuts_.count(putDedupKey(user, putId, chunk)) > 0;
+  return seenPuts_.count(PutDedupKey{user, putId, chunk}) > 0;
 }
 
 void KademliaNode::recordPutApplied(const std::string& user, u64 putId,
                                     u32 chunk) {
-  std::string dedupKey = putDedupKey(user, putId, chunk);
-  if (!seenPuts_.insert(dedupKey).second) return;
-  seenPutOrder_.push_back(std::move(dedupKey));
+  auto [it, inserted] = seenPuts_.insert(PutDedupKey{user, putId, chunk});
+  if (!inserted) return;
+  seenPutOrder_.push_back(&*it);
   if (seenPutOrder_.size() > kSeenPutCap) {
-    seenPuts_.erase(seenPutOrder_.front());
+    seenPuts_.erase(seenPuts_.find(*seenPutOrder_.front()));
     seenPutOrder_.pop_front();
   }
 }
@@ -274,6 +278,22 @@ void KademliaNode::putMany(const NodeId& key, std::vector<StoreToken> tokens,
     sh->cb = cb;
     sh->counters = &counters_;
 
+    // The signature covers only user, key and batch, so each chunk is
+    // signed and encoded once and every remote replica gets the same bytes.
+    std::vector<std::vector<u8>> bodies;
+    bodies.reserve(chunks.size());
+    for (usize c = 0; c < chunks.size(); ++c) {
+      StoreReq req;
+      req.key = key;
+      req.putId = putId;
+      req.chunk = static_cast<u32>(c);
+      req.tokens = chunks[c];
+      req.signature = cs_.signContent(credential_.userId, key.bytes,
+                                      req.canonicalBatch());
+      ++counters_.contentSignatures;
+      bodies.push_back(req.encode());
+    }
+
     for (usize i = 0; i < replicas; ++i) {
       if (targets[i].id == self_.id) {
         // Local replica: apply directly (own tokens need no signature
@@ -302,14 +322,7 @@ void KademliaNode::putMany(const NodeId& key, std::vector<StoreToken> tokens,
         continue;
       }
       for (usize c = 0; c < chunks.size(); ++c) {
-        StoreReq req;
-        req.key = key;
-        req.putId = putId;
-        req.chunk = static_cast<u32>(c);
-        req.tokens = chunks[c];
-        req.signature = cs_.signContent(credential_.userId, key.toHex(),
-                                        req.canonicalBatch());
-        sendRequest(targets[i], RpcType::kStore, req.encode(),
+        sendRequest(targets[i], RpcType::kStore, bodies[c],
                     [sh, i](bool ok, const Envelope& env) {
                       bool applied = false;
                       if (ok) {
@@ -609,7 +622,7 @@ void KademliaNode::handleStore(const Envelope& env) {
     StoreReq req = StoreReq::decode(r);
     StoreReply rep;
     if (cfg_.verifyContent &&
-        !cs_.verifyContent(req.signature, req.key.toHex(),
+        !cs_.verifyContent(req.signature, req.key.bytes,
                            req.canonicalBatch())) {
       ++counters_.storesRejectedAuth;
       rep.ok = false;
@@ -724,14 +737,13 @@ void KademliaNode::pumpLookup(const std::shared_ptr<LookupTask>& task) {
     ++task->inflight;
     ++task->messagesSent;
     Contact peer = cand.contact;
-    task->ev(exec_.now(), "rpc-sent", peer.id.shortHex());
+    task->ev(exec_.now(), "rpc-sent", peer.id);
 
     auto onDone = [this, task, peerId = peer.id](bool ok, const Envelope& env) {
       if (task->done) return;
       --task->inflight;
       if (!ok) ++task->rpcFailures;
-      task->ev(exec_.now(), ok ? "rpc-reply" : "rpc-timeout",
-               peerId.shortHex());
+      task->ev(exec_.now(), ok ? "rpc-reply" : "rpc-timeout", peerId);
       Candidate* c = task->find(peerId);
       if (c) c->state = ok ? CandState::kResponded : CandState::kFailed;
       if (ok) {

@@ -121,6 +121,7 @@ struct NodeCounters {
   u64 storesRejectedAuth = 0;  ///< forged content signatures refused
   u64 credentialRejects = 0;   ///< datagrams dropped for bad credentials
   u64 credentialMacChecks = 0; ///< credential HMACs computed (memo misses)
+  u64 contentSignatures = 0;   ///< STORE chunks signed by putMany
   u64 replySenderMismatches = 0; ///< replies echoing a pending rpcId from the wrong peer
   u64 sendRejects = 0;         ///< RPCs failed fast (datagram refused by the network)
   u64 putQuorumFailures = 0;   ///< PUTs acked by fewer replicas than intended
@@ -268,8 +269,18 @@ class KademliaNode {
   /// again on retry, not be dedup-acked). Bounded FIFO so a long-lived
   /// replica can't grow unboundedly; a retry arrives within a few backoff
   /// periods, far inside the window.
-  std::unordered_set<std::string> seenPuts_;
-  std::deque<std::string> seenPutOrder_;
+  struct PutDedupKey {
+    std::string user;  ///< kept whole: a hash collision must not dedup
+    u64 putId = 0;
+    u32 chunk = 0;
+    bool operator==(const PutDedupKey&) const = default;
+  };
+  struct PutDedupKeyHash {
+    usize operator()(const PutDedupKey& k) const noexcept;
+  };
+  std::unordered_set<PutDedupKey, PutDedupKeyHash> seenPuts_;
+  /// seenPuts_'s elements, oldest first (set nodes never move).
+  std::deque<const PutDedupKey*> seenPutOrder_;
   static constexpr usize kSeenPutCap = 8192;
 
   /// Credentials that passed cs_.verify, by node id. A datagram whose
@@ -283,8 +294,6 @@ class KademliaNode {
   /// a valid CS MAC (memoized per peer; see verifiedCreds_).
   bool credentialAccepted(const crypto::Credential& c, const NodeId& sender);
 
-  static std::string putDedupKey(const std::string& user, u64 putId,
-                                 u32 chunk);
   bool wasPutApplied(const std::string& user, u64 putId, u32 chunk) const;
   void recordPutApplied(const std::string& user, u64 putId, u32 chunk);
 

@@ -83,78 +83,92 @@ void BlockView::trim(const GetOptions& opt) {
   }
 }
 
-bool BlockStore::apply(const NodeId& key, const StoreToken& token,
-                       net::SimTime now) {
-  switch (token.kind) {
-    case TokenKind::kIncrement: {
-      if (token.entry.empty() || token.delta == 0) return false;
-      Block& b = blocks_[key];
-      b.entries[token.entry] += token.delta;
-      b.lastTouchedUs = std::max(b.lastTouchedUs, now);
-      tokensApplied_ += token.delta;
+namespace {
+
+/// Kinds whose token names an entry and creates it when absent.
+bool createsEntry(TokenKind k) {
+  return k == TokenKind::kIncrement || k == TokenKind::kIncrementIfNewB ||
+         k == TokenKind::kMergeMax;
+}
+
+}  // namespace
+
+bool BlockStore::accepts(const Block* block,
+                         std::span<const StoreToken> earlier,
+                         const StoreToken& t) {
+  switch (t.kind) {
+    case TokenKind::kSetPayload:
+    case TokenKind::kTouch:
       return true;
-    }
-    case TokenKind::kSetPayload: {
-      Block& b = blocks_[key];
-      b.payload = token.payload;
-      b.lastTouchedUs = std::max(b.lastTouchedUs, now);
-      ++tokensApplied_;
-      return true;
-    }
-    case TokenKind::kTouch: {
-      Block& b = blocks_[key];  // default-construct if absent
-      b.lastTouchedUs = std::max(b.lastTouchedUs, now);
-      ++tokensApplied_;
-      return true;
-    }
+    case TokenKind::kIncrement:
+    case TokenKind::kMergeMax:
+      return !t.entry.empty() && t.delta != 0;
     case TokenKind::kIncrementIfNewB: {
-      if (token.entry.empty()) return false;
-      Block& b = blocks_[key];
-      auto [it, inserted] = b.entries.emplace(token.entry, 1);
-      if (!inserted) {
-        // Present-path: delta is a real increment and must be non-zero,
-        // matching kIncrement's contract.
-        if (token.delta == 0) return false;
-        it->second += token.delta;
-      }
-      b.lastTouchedUs = std::max(b.lastTouchedUs, now);
-      tokensApplied_ += inserted ? 1 : token.delta;
-      return true;
-    }
-    case TokenKind::kMergeMax: {
-      if (token.entry.empty() || token.delta == 0) return false;
-      Block& b = blocks_[key];
-      u64& w = b.entries[token.entry];
-      w = std::max(w, token.delta);
-      b.lastTouchedUs = std::max(b.lastTouchedUs, now);
-      ++tokensApplied_;
-      return true;
+      if (t.entry.empty()) return false;
+      if (t.delta != 0) return true;
+      // Delta 0 is only defined on the create path: the present path adds
+      // delta, which must be non-zero as for kIncrement. The entry is
+      // present if the block holds it or an earlier token creates it.
+      if (block != nullptr && block->entries.count(t.entry) > 0) return false;
+      return std::none_of(earlier.begin(), earlier.end(),
+                          [&](const StoreToken& e) {
+                            return createsEntry(e.kind) && e.entry == t.entry;
+                          });
     }
   }
   return false;
+}
+
+void BlockStore::mutate(Block& b, const StoreToken& t, net::SimTime now) {
+  switch (t.kind) {
+    case TokenKind::kIncrement:
+      b.entries[t.entry] += t.delta;
+      tokensApplied_ += t.delta;
+      break;
+    case TokenKind::kSetPayload:
+      b.payload = t.payload;
+      ++tokensApplied_;
+      break;
+    case TokenKind::kTouch:
+      ++tokensApplied_;
+      break;
+    case TokenKind::kIncrementIfNewB: {
+      auto [it, inserted] = b.entries.emplace(t.entry, 1);
+      if (!inserted) it->second += t.delta;
+      tokensApplied_ += inserted ? 1 : t.delta;
+      break;
+    }
+    case TokenKind::kMergeMax: {
+      u64& w = b.entries[t.entry];
+      w = std::max(w, t.delta);
+      ++tokensApplied_;
+      break;
+    }
+  }
+  b.lastTouchedUs = std::max(b.lastTouchedUs, now);
+}
+
+bool BlockStore::apply(const NodeId& key, const StoreToken& token,
+                       net::SimTime now) {
+  return applyAll(key, {token}, now);
 }
 
 bool BlockStore::applyAll(const NodeId& key,
                           const std::vector<StoreToken>& tokens,
                           net::SimTime now) {
   if (tokens.empty()) return false;
-  // Stage through apply(), restoring the pre-batch block (and the token
-  // counter) if any token is rejected: atomicity by rollback.
+  // Atomicity by validation: every token is decided against the current
+  // block and the batch's earlier tokens before any of them lands, so a
+  // rejected batch touches nothing and no rollback copy is needed.
   auto it = blocks_.find(key);
-  const bool existed = it != blocks_.end();
-  Block backup = existed ? it->second : Block{};
-  const u64 counterBackup = tokensApplied_;
-  bool ok = true;
-  for (const auto& t : tokens) ok = apply(key, t, now) && ok;
-  if (!ok) {
-    tokensApplied_ = counterBackup;
-    if (existed) {
-      blocks_[key] = std::move(backup);
-    } else {
-      blocks_.erase(key);
-    }
+  const Block* block = it == blocks_.end() ? nullptr : &it->second;
+  const std::span<const StoreToken> batch(tokens);
+  for (usize i = 0; i < batch.size(); ++i) {
+    if (!accepts(block, batch.first(i), batch[i])) return false;
   }
-  return ok;
+  Block& b = block != nullptr ? it->second : blocks_[key];
+  for (const auto& t : tokens) mutate(b, t, now);
+  return true;
 }
 
 std::optional<BlockView> BlockStore::query(const NodeId& key,
@@ -166,14 +180,30 @@ std::optional<BlockView> BlockStore::query(const NodeId& key,
   BlockView v;
   v.payload = b.payload;
   v.totalEntries = b.entries.size();
-  v.entries.reserve(b.entries.size());
-  for (const auto& [name, w] : b.entries) v.entries.push_back(BlockEntry{name, w});
   // Index-side ranking: heaviest entries first so that trimming keeps the
-  // most relevant tags/resources (Section V-A).
-  std::sort(v.entries.begin(), v.entries.end(),
-            [](const BlockEntry& a, const BlockEntry& b2) {
-              return a.weight != b2.weight ? a.weight > b2.weight : a.name < b2.name;
-            });
+  // most relevant tags/resources (Section V-A). Only the top-N cap's worth
+  // is ranked and copied; the byte budget is applied by trim() after.
+  using Entry = std::map<std::string, u64>::value_type;
+  std::vector<const Entry*> ranked;
+  ranked.reserve(b.entries.size());
+  for (const auto& e : b.entries) ranked.push_back(&e);
+  const auto byRank = [](const Entry* a, const Entry* b2) {
+    return a->second != b2->second ? a->second > b2->second
+                                   : a->first < b2->first;
+  };
+  usize keep = ranked.size();
+  if (opt.topN > 0 && opt.topN < keep) {
+    keep = opt.topN;
+    std::partial_sort(ranked.begin(), ranked.begin() + keep, ranked.end(),
+                      byRank);
+    v.truncated = true;
+  } else {
+    std::sort(ranked.begin(), ranked.end(), byRank);
+  }
+  v.entries.reserve(keep);
+  for (usize i = 0; i < keep; ++i) {
+    v.entries.push_back(BlockEntry{ranked[i]->first, ranked[i]->second});
+  }
   v.trim(opt);
   return v;
 }

@@ -13,6 +13,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,15 +107,19 @@ class BlockStore {
  public:
   /// Applies one token at simulated time \p now (stamps the block's
   /// last-touched time — callers on the RPC path pass sim.now(); a block
-  /// stamped 0 is dropped by the first expiry sweep). Returns false on
-  /// malformed tokens (empty entry name or zero delta for increments).
+  /// stamped 0 is dropped by the first expiry sweep). Returns false, and
+  /// changes nothing, on a malformed token: an empty entry on kIncrement,
+  /// kIncrementIfNewB or kMergeMax; a zero delta on kIncrement or
+  /// kMergeMax; a zero delta on kIncrementIfNewB whose entry is present.
   bool apply(const NodeId& key, const StoreToken& token, net::SimTime now);
 
-  /// Atomic batch apply: either every token lands or none does (a rejected
-  /// token rolls the block back). This is what makes the STORE replay
-  /// dedup sound — "chunk applied" is all-or-nothing, so a deduped retry
-  /// can never paper over a partially-applied batch. Empty batches are
-  /// rejected.
+  /// Atomic batch apply: either every token lands or none does. Every
+  /// token is validated (against the block and the batch's earlier tokens)
+  /// before any is applied, so a rejected batch touches nothing — no block
+  /// created, no timestamp or counter moved. This is what makes the STORE
+  /// replay dedup sound — "chunk applied" is all-or-nothing, so a deduped
+  /// retry can never paper over a partially-applied batch. Empty batches
+  /// are rejected.
   bool applyAll(const NodeId& key, const std::vector<StoreToken>& tokens,
                 net::SimTime now);
 
@@ -146,6 +151,13 @@ class BlockStore {
     std::string payload;
     net::SimTime lastTouchedUs = 0;
   };
+
+  /// apply()'s reject rules for \p t, given the block before the batch
+  /// (null if absent) and the batch's tokens ahead of \p t.
+  static bool accepts(const Block* block, std::span<const StoreToken> earlier,
+                      const StoreToken& t);
+  /// Lands an accepted token.
+  void mutate(Block& b, const StoreToken& t, net::SimTime now);
 
   std::map<NodeId, Block> blocks_;
   u64 tokensApplied_ = 0;

@@ -115,6 +115,72 @@ TEST(Dht, LargeBatchSplitsAcrossMtu) {
   EXPECT_EQ(view->totalEntries, 200u);
 }
 
+TEST(Dht, PutSignsEachChunkOnce) {
+  auto cfg = smallConfig(16);
+  cfg.node.kStore = 8;
+  DhtNetwork net(cfg);
+  net.bootstrap();
+  const usize from = 3;
+  auto signatures = [&] {
+    u64 n = 0;
+    for (usize i = 0; i < net.size(); ++i) {
+      n += net.node(i).counters().contentSignatures;
+    }
+    return n;
+  };
+  auto accepted = [&] {
+    u64 n = 0;
+    for (usize i = 0; i < net.size(); ++i) {
+      n += net.node(i).counters().storesAccepted;
+    }
+    return n;
+  };
+
+  // One chunk, kStore replicas: one signature, shared by every remote STORE.
+  u64 sigBefore = signatures();
+  u64 accBefore = accepted();
+  PutResult one = net.putManyResult(from, NodeId::fromString("one-chunk"),
+                                    {inc("a"), inc("b", 2)});
+  EXPECT_EQ(signatures(), sigBefore + 1);
+  EXPECT_EQ(net.node(from).counters().contentSignatures, sigBefore + 1);
+  EXPECT_EQ(one.acks, 8u);
+  EXPECT_EQ(one.rpcFailures, 0u);
+  EXPECT_EQ(accepted(), accBefore + 8);  // every replica applied the chunk
+
+  // 50 tokens of cost 50 against the 1100-byte chunk budget: 22 + 22 + 6.
+  std::vector<StoreToken> batch;
+  for (int i = 0; i < 50; ++i) {
+    std::string name = "chunked-entry-" + std::to_string(i);
+    name.resize(34, '-');
+    batch.push_back(inc(name));
+  }
+  const NodeId key = NodeId::fromString("three-chunks");
+  sigBefore = signatures();
+  u64 remoteBefore = 0;
+  for (usize i = 0; i < net.size(); ++i) {
+    if (i != from) remoteBefore += net.node(i).counters().storesAccepted;
+  }
+  PutResult three = net.putManyResult(from, key, batch);
+  EXPECT_EQ(signatures(), sigBefore + 3);
+  EXPECT_EQ(three.acks, 8u);
+  EXPECT_EQ(three.rpcFailures, 0u);
+  EXPECT_EQ(net.network().stats().droppedOversize, 0u);
+  u64 remoteAfter = 0;
+  usize holders = 0;
+  for (usize i = 0; i < net.size(); ++i) {
+    if (i != from) remoteAfter += net.node(i).counters().storesAccepted;
+    if (!net.node(i).store().has(key)) continue;
+    ++holders;
+    EXPECT_EQ(net.node(i).store().query(key, {})->totalEntries, 50u)
+        << "node " << i;
+  }
+  EXPECT_EQ(holders, 8u);
+  // Each remote replica accepted all three chunks (the publisher applies
+  // its own copy locally, as one replica).
+  const bool publisherIsReplica = net.node(from).store().has(key);
+  EXPECT_EQ(remoteAfter - remoteBefore, 3u * (publisherIsReplica ? 7u : 8u));
+}
+
 TEST(Dht, IndexSideFilteringTopN) {
   DhtNetwork net(smallConfig(16));
   net.bootstrap();
@@ -352,6 +418,56 @@ TEST(Dht, ForgedStoreRejected) {
   net.sim().run();
   EXPECT_FALSE(net.node(0).store().has(key));
   EXPECT_GE(net.node(0).counters().storesRejectedAuth, 1u);
+}
+
+/// Delivers one signed STORE chunk (one `x` token) from node 1 to node 0.
+void storeOnNode0(DhtNetwork& net, const NodeId& key, const std::string& user,
+                  u64 putId, u32 chunk) {
+  StoreReq req;
+  req.key = key;
+  req.putId = putId;
+  req.chunk = chunk;
+  req.tokens.push_back(inc("x", 1));
+  req.signature = net.cs().signContent(user, key.bytes, req.canonicalBatch());
+  Envelope e;
+  e.type = RpcType::kStore;
+  e.rpcId = 1000 + putId;
+  e.sender = net.node(1).contact();
+  e.credential = net.cs().enroll("user-1");
+  e.body = req.encode();
+  net.network().send(net.node(1).address(), net.node(0).address(), e.encode());
+  net.sim().run();
+}
+
+TEST(Dht, StoreReplayMemoDedupsAndEvictsOldestFirst) {
+  DhtNetwork net(smallConfig(8));
+  net.bootstrap();
+  const NodeId key = NodeId::fromString("memo-block");
+  auto weight = [&](const NodeId& k) {
+    auto v = net.node(0).store().query(k, {});
+    return v ? v->weightOf("x") : 0;
+  };
+  storeOnNode0(net, key, "user-1", 1, 0);
+  storeOnNode0(net, key, "user-1", 1, 0);  // replay: acked, not applied
+  EXPECT_EQ(weight(key), 1u);
+  EXPECT_EQ(net.node(0).counters().storesDeduplicated, 1u);
+  // Each field of (user, putId, chunk) tells chunks apart.
+  storeOnNode0(net, key, "user-1", 1, 1);
+  storeOnNode0(net, key, "user-2", 1, 0);
+  storeOnNode0(net, key, "user-1", 2, 0);
+  EXPECT_EQ(weight(key), 4u);
+
+  // kSeenPutCap (8192) newer chunks push the four above out, oldest first.
+  const NodeId filler = NodeId::fromString("memo-filler");
+  for (u64 i = 0; i < 8192; ++i) {
+    storeOnNode0(net, filler, "user-1", 100 + i, 0);
+  }
+  EXPECT_EQ(weight(filler), 8192u);
+  storeOnNode0(net, filler, "user-1", 100 + 8191, 0);  // newest: still known
+  EXPECT_EQ(weight(filler), 8192u);
+  storeOnNode0(net, key, "user-1", 1, 0);  // forgotten: applied again
+  EXPECT_EQ(weight(key), 5u);
+  EXPECT_EQ(net.node(0).counters().storesDeduplicated, 2u);
 }
 
 TEST(Dht, LossyNetworkStillConverges) {

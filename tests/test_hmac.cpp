@@ -89,6 +89,17 @@ TEST(Hmac, PinnedContentSignatureMac) {
   EXPECT_EQ(toHex(sig.mac), "2b1c0a025d28ae61ed67f43915a1c89f53c368d1");
 }
 
+// The digest overloads stream the key's hex: the same bytes, the same MAC.
+TEST(Hmac, ContentSignatureFromKeyDigestMatchesHex) {
+  CertificationService cs("dharma-cs-secret");
+  const Digest160 key = sha1("block-key");
+  ContentSignature sig = cs.signContent("user-1", key, "i|rock|3\ni|pop|1\n");
+  EXPECT_EQ(toHex(sig.mac), "2b1c0a025d28ae61ed67f43915a1c89f53c368d1");
+  EXPECT_TRUE(cs.verifyContent(sig, key, "i|rock|3\ni|pop|1\n"));
+  EXPECT_TRUE(cs.verifyContent(sig, toHex(key), "i|rock|3\ni|pop|1\n"));
+  EXPECT_FALSE(cs.verifyContent(sig, sha1("other-key"), "i|rock|3\ni|pop|1\n"));
+}
+
 TEST(DigestEqual, Works) {
   Digest160 a = sha1("same");
   Digest160 b = sha1("same");
