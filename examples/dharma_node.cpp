@@ -1,19 +1,28 @@
 /// \file dharma_node.cpp
-/// \brief A live DHARMA node daemon on real UDP sockets.
+/// \brief The DHARMA peer daemon: overlay nodes on real UDP sockets, a line
+/// protocol on stdin, and optionally the HTTP gateway.
 ///
-/// The first program in this repo where nothing is simulated: a
-/// RealTimeExecutor drives the protocol against the wall clock, a
-/// UdpTransport moves every RPC through real POSIX sockets, and the same
-/// KademliaNode / DharmaClient code that reproduces the paper's numbers in
-/// virtual time serves interactive traffic.
+/// Nothing here is simulated: a sharded set of RealTimeExecutor loops drives
+/// the protocol against the wall clock, an EpollTransport moves every RPC
+/// through real sockets, and the same KademliaNode / DharmaClient code that
+/// reproduces the paper's numbers in virtual time serves live traffic.
 ///
-///   $ ./dharma_node                      # boot a 3-node loopback cluster
-///   $ ./dharma_node --nodes 8            # a bigger one
-///   $ ./dharma_node --join 127.0.0.1:PORT  # join another daemon's cluster
+///   $ ./dharma_node                          # 3-node loopback cluster
+///   $ ./dharma_node --nodes 8 --join 127.0.0.1:PORT   # join another daemon
+///   $ ./dharma_node --bind 127.0.0.1:8080    # ... and serve HTTP on :8080
+///   $ curl -X PUT  localhost:8080/resources/song1?tag=rock -d 'http://u'
+///   $ curl 'localhost:8080/search?tag=rock&steps=2'
+///
+/// `--bind HOST[:PORT]`: the UDP sockets bind HOST. With a PORT (0 picks an
+/// ephemeral one, printed in the banner) the daemon also serves the REST
+/// routes of gateway::GatewayServer on HOST:PORT, with `--workers` HTTP
+/// workers and the client record cache on unless `--cache off`. The
+/// `dharma_gateway` target is this file built with a default `--bind` of
+/// 127.0.0.1:8080; `dharma_node` defaults to 127.0.0.1 (UDP only).
 ///
 /// Each node prints "node <i> listening on <ip:port>"; hand any of those
-/// addresses to a second daemon's --join. Commands arrive on stdin, one
-/// per line (the tiny line protocol; see `help`):
+/// addresses to a second daemon's --join. Commands arrive on stdin, one per
+/// line (see `help`):
 ///
 ///   insert <res> <uri> <tag> [tag ...]
 ///   tag <res> <tag> [tag ...]
@@ -21,36 +30,41 @@
 ///   resolve <res>
 ///   ping <ip:port>
 ///   drop <ip:port> | undrop <ip:port> | undrop all
-///   stats
+///   stats | stats-json | trace
 ///   quit
 ///
 /// Every command answers "OK ..." or "ERR ...". The process exits 0 iff no
-/// command failed — which is what lets CI drive a 3-node put/get/tag smoke
-/// through a pipe, and what lets the cluster harness (tests/cluster/)
-/// script whole fleets of these processes.
+/// command failed — which is what lets CI drive a put/get/tag smoke through
+/// a pipe, and what lets the cluster harness (tests/cluster/) script whole
+/// fleets of these processes. Startup failures (a malformed flag, an
+/// unopenable --metrics-out, a UDP or HTTP bind error) print one
+/// "ERR startup (<kind>): ..." line on stderr and exit 2.
 ///
 /// SIGTERM/SIGINT request a graceful stop: the daemon finishes the command
-/// in flight, prints "OK shutdown signal=...", flushes, and exits through
-/// the same deterministic path as `quit` — so a harness can tell a clean
-/// stop (exit code 0/1) from a crash (killed by signal). The drop/undrop
-/// commands and the --drop-peers flag install transport-level partition
-/// rules (datagrams to/from those peers silently vanish), which is how the
-/// harness scripts network partitions on one host.
+/// in flight, prints "OK shutdown signal=...", drains HTTP, and exits
+/// through the same path as `quit`. The drop/undrop commands and the
+/// --drop-peers flag install transport-level partition rules (datagrams
+/// to/from those peers silently vanish), which is how the harness scripts
+/// network partitions on one host.
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/client.hpp"
 #include "core/runtime.hpp"
 #include "dht/maintenance.hpp"
-#include "net/datagram.hpp"
-#include "net/realtime.hpp"
+#include "gateway/server.hpp"
+#include "net/epoll_transport.hpp"
 #include "net/sharded.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
@@ -58,6 +72,10 @@
 #include "util/options.hpp"
 
 #include <unistd.h>
+
+#ifndef DHARMA_DEFAULT_BIND
+#define DHARMA_DEFAULT_BIND "127.0.0.1"
+#endif
 
 using namespace dharma;
 
@@ -79,20 +97,125 @@ const char* errorName(core::OpError e) {
   return "unknown";
 }
 
+/// A startup condition the daemon cannot run with. main() prints
+/// "ERR startup (<kind>): <what>" on stderr and exits 2.
+struct StartupError : std::runtime_error {
+  const char* kind;
+  StartupError(const char* k, const std::string& what)
+      : std::runtime_error(what), kind(k) {}
+};
+
+constexpr i64 kMaxNodes = 4096;   ///< one UDP socket each
+constexpr i64 kMaxThreads = 256;  ///< --shards loops, --workers HTTP threads
+constexpr i64 kMaxInt = std::numeric_limits<i32>::max();
+
+/// Integer flag --key within [lo, hi], or \p fallback when absent or bare.
+/// The whole value must be a decimal integer; anything else is a bad flag,
+/// never an uncaught exception or a negative count wrapped by a cast.
+i64 intFlag(const Options& opts, const std::string& key, i64 fallback,
+            i64 lo, i64 hi) {
+  std::string s = opts.getString(key, "");
+  if (s.empty()) return fallback;
+  i64 v = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || v < lo || v > hi) {
+    throw StartupError("bad-flag", "--" + key + " expects an integer in [" +
+                                       std::to_string(lo) + ", " +
+                                       std::to_string(hi) + "], got '" + s +
+                                       "'");
+  }
+  return v;
+}
+
+/// A millisecond flag, returned in microseconds.
+net::TimeUs msFlag(const Options& opts, const std::string& key, i64 fallback) {
+  return static_cast<net::TimeUs>(intFlag(opts, key, fallback, 0, kMaxInt)) *
+         1000;
+}
+
+bool boolFlag(const Options& opts, const std::string& key, bool fallback) {
+  try {
+    return opts.getBool(key, fallback);
+  } catch (const std::invalid_argument& e) {
+    throw StartupError("bad-flag", e.what());
+  }
+}
+
+/// Everything the command line says, validated before any executor, socket
+/// or file exists.
+struct Flags {
+  usize nodes;
+  usize shards;
+  std::string udpHost;
+  std::optional<u16> httpPort;  ///< set iff --bind carries a port
+  usize workers;
+  bool cache;
+  std::string join;
+  usize joinRetries;
+  bool maintenance;
+  bool traces;
+  u64 statsIntervalMs;
+  std::string metricsOut;
+  std::string dropPeers;
+  dht::NodeConfig nodeCfg;
+  dht::MaintenanceConfig mCfg;
+
+  explicit Flags(const Options& opts) {
+    nodes = static_cast<usize>(intFlag(opts, "nodes", 3, 1, kMaxNodes));
+    shards = static_cast<usize>(intFlag(opts, "shards", 1, 1, kMaxThreads));
+    parseBind(opts.getString("bind", DHARMA_DEFAULT_BIND));
+    workers =
+        static_cast<usize>(intFlag(opts, "workers", 4, 0, kMaxThreads));
+    cache = boolFlag(opts, "cache", httpPort.has_value());
+    join = opts.getString("join", "");
+    joinRetries =
+        static_cast<usize>(intFlag(opts, "join-retries", 5, 0, kMaxInt));
+    maintenance = boolFlag(opts, "maintenance", true);
+    traces = boolFlag(opts, "traces", true);
+    statsIntervalMs =
+        static_cast<u64>(intFlag(opts, "stats-interval-ms", 0, 0, kMaxInt));
+    metricsOut = opts.getString("metrics-out", "");
+    dropPeers = opts.getString("drop-peers", "");
+    nodeCfg.rpcTimeoutUs = msFlag(opts, "rpc-timeout-ms", 1500);
+    mCfg.bucketRefreshIntervalUs = msFlag(opts, "refresh-ms", 30'000);
+    mCfg.republishIntervalUs = msFlag(opts, "republish-ms", 60'000);
+  }
+
+  /// --bind HOST[:PORT]: without a colon, UDP only on HOST; with one, the
+  /// port is a decimal in 0..65535 (0 = ephemeral) and turns HTTP on.
+  void parseBind(const std::string& spec) {
+    usize colon = spec.rfind(':');
+    if (colon == std::string::npos) {
+      udpHost = spec;
+      return;
+    }
+    udpHost = spec.substr(0, colon);
+    const char* p = spec.data() + colon + 1;
+    const char* e = spec.data() + spec.size();
+    u16 port = 0;
+    auto [end, ec] = std::from_chars(p, e, port);
+    if (udpHost.empty() || p == e || ec != std::errc() || end != e) {
+      throw StartupError("bad-address",
+                         "--bind expects HOST[:PORT], got '" + spec + "'");
+    }
+    httpPort = port;
+  }
+};
+
 struct Daemon {
-  /// Process-wide observability: one registry every layer (client, node,
-  /// UDP) records into, one trace ring completed op spans land in. The
-  /// `stats` line stays raw-counter based for harness compat; `stats-json`
-  /// and --metrics-out read THIS registry, so both surfaces render the
-  /// same snapshot. Declared before the executors: the shard group
-  /// registers its per-shard families at construction.
+  /// Process-wide observability: one registry every layer (gateway, client,
+  /// node, UDP) records into, one trace ring completed op spans land in.
+  /// The `stats` line stays raw-counter based for harness compat;
+  /// `stats-json`, --metrics-out and GET /stats read THIS registry, so every
+  /// surface renders the same snapshot. Declared before the executors: the
+  /// shard group registers its per-shard families at construction.
   obs::MetricsRegistry registry;
   obs::TraceRing traces{256};
-  bool tracesOn = true;
+  bool tracesOn;
   /// The sharded runtime: node i lives on shard i % shards forever — its
   /// datagrams, timers and blocking ops all run there (see rtFor/shardOf).
   net::ShardedExecutor execs;
-  std::unique_ptr<net::DatagramTransport> transport;
+  net::EpollTransport transport;
   // The shared secret stands in for a real certification authority; every
   // daemon on the host uses the same one so cross-process credentials
   // verify (Likir's CS is a trusted third party by construction).
@@ -102,22 +225,26 @@ struct Daemon {
   std::vector<std::unique_ptr<dht::MaintenanceManager>> managers;
   std::unique_ptr<core::DharmaClient> client;
   std::unique_ptr<obs::MetricsSampler> sampler;
-  std::shared_ptr<std::ofstream> metricsOut;
+  /// The HTTP edge, when --bind carries a port.
+  std::unique_ptr<gateway::GatewayServer> server;
 
-  Daemon(const std::string& bindHost, usize shards, net::NetBackend backend)
-      : execs(net::ShardedExecutor::Config{shards, &registry}),
-        transport(net::makeDatagramTransport(
-            backend, execs.shard(0),
-            net::UdpConfig{bindHost, 1400, &registry})),
-        rt(execs, *transport) {}
+  explicit Daemon(const Flags& f)
+      : tracesOn(f.traces),
+        execs(net::ShardedExecutor::Config{f.shards, &registry}),
+        transport(execs.shard(0), net::UdpConfig{f.udpHost, 1400, &registry}),
+        rt(execs, transport) {}
 
   /// The shard owning node \p i, and the runtime blocking ops against it
-  /// must wait on. nodes[0] (the command-loop node) is always on shard 0.
+  /// must wait on. nodes[0] (the command-loop and HTTP node) is always on
+  /// shard 0.
   usize shardOf(usize i) const { return execs.shardOf(i); }
   core::Runtime& rtFor(usize i) { return rt.forShard(shardOf(i)); }
   core::Runtime& rt0() { return rt.forShard(0); }
 
   ~Daemon() {
+    // HTTP drains first: its workers block through the runtime, so the
+    // loops must outlive the worker pool.
+    if (server) server->stop();
     // Stop the sampler on its loop thread BEFORE stopping the loops, so a
     // tick can't re-arm mid-stop (same discipline as the managers below).
     if (sampler) {
@@ -133,18 +260,18 @@ struct Daemon {
     // queues.
     execs.stop();
     for (auto& m : managers) m->stop();
-    transport->close();
+    transport.close();
   }
 
-  /// Mirrors engine counters into the registry. MUST run on the loop
-  /// thread (sampler collect hook does; `stats-json` posts through the
-  /// runtime).
+  /// Mirrors engine counters (client, node 0, client cache, UDP) into the
+  /// registry. MUST run on shard 0's loop thread: the sampler's collect
+  /// hook calls it there; other threads post through rt0().
   void syncEngineOnLoop() {
     core::DharmaClient::Counters cc = client->counters();
     core::OpCost cost = client->totalCost();
     dht::NodeCounters nc = nodes[0]->counters();
     cache::CacheStats cs = client->cacheStats();
-    net::UdpStats us = transport->stats();
+    net::UdpStats us = transport.stats();
     registry.counter("dharma_client_ops_total", "Protocol operations completed")
         .set(cc.ops);
     registry
@@ -187,63 +314,29 @@ struct Daemon {
         .set(us.bytesSent);
   }
 
-  /// Builds the sampler (always, so `stats-json` works) and starts its
-  /// periodic tick when \p intervalMs > 0.
-  void startSampler(u64 intervalMs, const std::string& outPath, u64 seed) {
-    obs::SamplerConfig sc;
-    sc.intervalUs = (intervalMs == 0 ? 1000 : intervalMs) * 1000;
-    sc.seed = seed;
-    // The sampler ticks on shard 0 — where nodes[0] and the client live,
-    // so its collect hook reads their counters with the right affinity.
-    sampler = std::make_unique<obs::MetricsSampler>(execs.shard(0), registry,
-                                                    sc);
-    sampler->setCollect([this] { syncEngineOnLoop(); });
-    if (!outPath.empty()) {
-      metricsOut = std::make_shared<std::ofstream>(outPath,
-                                                   std::ios::out |
-                                                       std::ios::trunc);
-      if (!*metricsOut) {
-        std::cout << "ERR cannot open --metrics-out '" << outPath << "'\n";
-        metricsOut.reset();
-      } else {
-        sampler->addSink([out = metricsOut](const obs::Sample& sample) {
-          *out << sample.toJson() << "\n";
-          out->flush();
-        });
-      }
-    }
-    if (intervalMs > 0) {
-      rt0().awaitDone([&](std::function<void()> done) {
-        sampler->start();
-        done();
-      });
-    }
-  }
-
-  bool boot(usize n, const std::string& joinSpec, bool maintenance,
-            dht::NodeConfig nodeCfg, const dht::MaintenanceConfig& mCfg,
-            usize joinRetries) {
+  bool boot(const Flags& f) {
     execs.start();
+    dht::NodeConfig nodeCfg = f.nodeCfg;
     nodeCfg.metrics = &registry;
     if (tracesOn) nodeCfg.traces = &traces;
     // Distinct user ids per process so two daemons on one host never
     // collide in id space.
     std::string prefix = "node-" + std::to_string(::getpid()) + "-";
-    for (usize i = 0; i < n; ++i) {
+    for (usize i = 0; i < f.nodes; ++i) {
       // Node i is born onto its shard and never leaves it: the executor
       // reference IS the affinity, and registerEndpoint routes the node's
       // datagrams to the same place.
       nodes.push_back(std::make_unique<dht::KademliaNode>(
-          execs.shard(shardOf(i)), *transport, cs,
+          execs.shard(shardOf(i)), transport, cs,
           cs.enroll(prefix + std::to_string(i)), nodeCfg, 0x9000 + i));
       std::cout << "node " << i << " listening on "
                 << net::formatAddress(nodes[i]->address()) << "\n";
     }
 
-    if (!joinSpec.empty()) {
-      net::PeerResolution peer = transport->resolvePeer(joinSpec);
+    if (!f.join.empty()) {
+      net::PeerResolution peer = transport.resolvePeer(f.join);
       if (!peer.ok()) {
-        std::cout << "ERR bad --join spec '" << joinSpec << "' ("
+        std::cout << "ERR bad --join spec '" << f.join << "' ("
                   << peer.errorName() << ")\n";
         return false;
       }
@@ -252,14 +345,14 @@ struct Daemon {
       // process may still be booting when we come up (cluster harness
       // restarts race their bootstrap target's socket).
       bool up = false;
-      for (usize attempt = 0; attempt < joinRetries && !up; ++attempt) {
+      for (usize attempt = 0; attempt < f.joinRetries && !up; ++attempt) {
         up = core::awaitResult<bool>(rt0(),
                                      [&](std::function<void(bool)> done) {
           nodes[0]->pingAddress(peer.addr, std::move(done));
         });
       }
       if (!up) {
-        std::cout << "ERR join peer " << joinSpec << " did not answer\n";
+        std::cout << "ERR join peer " << f.join << " did not answer\n";
         return false;
       }
       rt0().awaitDone([&](std::function<void()> done) {
@@ -268,7 +361,7 @@ struct Daemon {
                              done();
                            });
       });
-      std::cout << "joined cluster via " << joinSpec << "\n";
+      std::cout << "joined cluster via " << f.join << "\n";
     }
     for (usize i = 1; i < nodes.size(); ++i) {
       dht::Contact seed = nodes[0]->contact();
@@ -279,10 +372,10 @@ struct Daemon {
       });
     }
 
-    if (maintenance) {
+    if (f.maintenance) {
       for (usize i = 0; i < nodes.size(); ++i) {
         managers.push_back(std::make_unique<dht::MaintenanceManager>(
-            execs.shard(shardOf(i)), *transport, *nodes[i], mCfg,
+            execs.shard(shardOf(i)), transport, *nodes[i], f.mCfg,
             0x7000 + i));
       }
       // start() reads routing tables, which each loop thread may already
@@ -298,11 +391,102 @@ struct Daemon {
     }
 
     core::DharmaConfig clientCfg;
+    clientCfg.cacheEnabled = f.cache;
     clientCfg.metrics = &registry;
     if (tracesOn) clientCfg.traces = &traces;
     client = std::make_unique<core::DharmaClient>(rt0(), *nodes[0],
                                                   clientCfg);
     return true;
+  }
+
+  /// Builds the sampler (always, so `stats-json` and the /stats "samples"
+  /// ring work). Its collect hook also publishes the HTTP counters once
+  /// `server` exists; startSamplerTick() runs after startHttp(), so no tick
+  /// reads `server` while it is being set.
+  void createSampler(u64 intervalMs, std::shared_ptr<std::ofstream> out) {
+    obs::SamplerConfig sc;
+    sc.intervalUs = (intervalMs == 0 ? 1000 : intervalMs) * 1000;
+    sc.seed = 0xD0DE;
+    // The sampler ticks on shard 0 — where nodes[0] and the client live,
+    // so its collect hook reads their counters with the right affinity.
+    sampler = std::make_unique<obs::MetricsSampler>(execs.shard(0), registry,
+                                                    sc);
+    sampler->setCollect([this] {
+      syncEngineOnLoop();
+      if (server) server->publishMetrics();
+    });
+    if (out) {
+      sampler->addSink([out = std::move(out)](const obs::Sample& sample) {
+        *out << sample.toJson() << "\n";
+        out->flush();
+      });
+    }
+  }
+
+  void startSamplerTick(u64 intervalMs) {
+    if (intervalMs == 0) return;
+    rt0().awaitDone([&](std::function<void()> done) {
+      sampler->start();
+      done();
+    });
+  }
+
+  /// Engine block of GET /stats. Runs on an HTTP worker thread, so loop
+  /// state is read through rt0() like the line protocol's `stats`.
+  std::string engineStatsJson() {
+    core::DharmaClient::Counters cc;
+    core::OpCost cost;
+    dht::NodeCounters nc;
+    cache::CacheStats cs;
+    usize rtSize = 0;
+    rt0().awaitDone([&](std::function<void()> done) {
+      cc = client->counters();
+      cost = client->totalCost();
+      nc = nodes[0]->counters();
+      cs = client->cacheStats();
+      rtSize = nodes[0]->routing().size();
+      done();
+    });
+    net::UdpStats us = transport.stats();
+    std::ostringstream out;
+    out << "{\"ops\":" << cc.ops << ",\"failures\":" << cc.failures
+        << ",\"retries\":" << cc.retries << ",\"lookups\":" << cost.lookups
+        << ",\"servedFromCache\":" << cost.servedFromCache
+        << ",\"routingTable\":" << rtSize
+        << ",\"nodeCacheHits\":" << nc.cacheHits
+        << ",\"storesDeduplicated\":" << nc.storesDeduplicated
+        << ",\"clientCache\":{\"hits\":" << cs.hits
+        << ",\"misses\":" << cs.misses << ",\"evictions\":" << cs.evictions
+        << ",\"invalidations\":" << cs.invalidations << "}"
+        << ",\"udp\":{\"sent\":" << us.sent << ",\"received\":" << us.received
+        << ",\"bytesSent\":" << us.bytesSent
+        << ",\"sendErrors\":" << us.sendErrors << "}}";
+    return out.str();
+  }
+
+  /// Serves HTTP on \p host:\p port in front of the client on nodes[0].
+  void startHttp(const std::string& host, u16 port, usize workers) {
+    gateway::GatewayConfig cfg;
+    cfg.bindHost = host == "localhost" ? std::string("127.0.0.1") : host;
+    cfg.port = port;
+    cfg.workers = workers;
+    gateway::GatewayServer::Deps deps;
+    deps.client = client.get();
+    deps.engineStatsJson = [this] { return engineStatsJson(); };
+    deps.collectEngine = [this] {
+      rt0().awaitDone([&](std::function<void()> done) {
+        syncEngineOnLoop();
+        done();
+      });
+    };
+    deps.metrics = &registry;
+    deps.sampler = sampler.get();
+    if (tracesOn) deps.traces = &traces;
+    server = std::make_unique<gateway::GatewayServer>(cfg, deps);
+    gateway::StartError se = server->start();
+    if (se != gateway::StartError::kNone) {
+      throw StartupError(gateway::startErrorName(se), server->startDetail());
+    }
   }
 };
 
@@ -313,42 +497,29 @@ int main(int argc, char** argv) {
   // they happen, so every line must leave the process immediately.
   std::cout << std::unitbuf;
 
-  Options opts(argc, argv);
-  usize n = static_cast<usize>(opts.getInt("nodes", 3));
-  std::string joinSpec = opts.getString("join", "");
-  std::string bindHost = opts.getString("bind", "127.0.0.1");
-  bool maintenance = opts.getBool("maintenance", true);
-  usize joinRetries = static_cast<usize>(opts.getInt("join-retries", 5));
-  u64 statsIntervalMs = static_cast<u64>(opts.getInt("stats-interval-ms", 0));
-  std::string metricsOutPath = opts.getString("metrics-out", "");
-  bool tracesOn = opts.getBool("traces", true);
-  usize shards = static_cast<usize>(opts.getInt("shards", 1));
-  std::string backendName =
-      opts.getString("net-backend", net::netBackendName(net::defaultNetBackend()));
-  auto backend = net::parseNetBackend(backendName);
-  if (!backend || !net::netBackendAvailable(*backend)) {
-    std::cerr << "bad --net-backend '" << backendName
-              << "' (want: poll" << (net::netBackendAvailable(net::NetBackend::kEpoll)
-                                         ? " | epoll" : "")
-              << ")\n";
+  // Flags and the --metrics-out file are checked before any executor or
+  // socket exists: a bad one is one typed line and exit 2 — the
+  // startup-failure code, distinct from protocol errors (1).
+  std::optional<Flags> parsed;
+  std::shared_ptr<std::ofstream> metricsOut;
+  try {
+    parsed.emplace(Options(argc, argv));
+    if (!parsed->metricsOut.empty()) {
+      metricsOut = std::make_shared<std::ofstream>(
+          parsed->metricsOut, std::ios::out | std::ios::trunc);
+      if (!*metricsOut) {
+        throw StartupError("metrics-out",
+                           "cannot open '" + parsed->metricsOut + "'");
+      }
+    }
+  } catch (const StartupError& e) {
+    std::cerr << "ERR startup (" << e.kind << "): " << e.what() << "\n";
     return 2;
   }
-  if (n == 0 || shards == 0) {
-    std::cerr << "--nodes and --shards must be >= 1\n";
-    return 2;
-  }
-
-  dht::NodeConfig nodeCfg;
-  nodeCfg.rpcTimeoutUs =
-      static_cast<net::TimeUs>(opts.getInt("rpc-timeout-ms", 1500)) * 1000;
-  dht::MaintenanceConfig mCfg;
-  mCfg.bucketRefreshIntervalUs =
-      static_cast<net::TimeUs>(opts.getInt("refresh-ms", 30'000)) * 1000;
-  mCfg.republishIntervalUs =
-      static_cast<net::TimeUs>(opts.getInt("republish-ms", 60'000)) * 1000;
+  const Flags& f = *parsed;
 
   // Graceful-stop plumbing, in three steps: block the signals (so the
-  // executor/receiver threads spawned during boot inherit the blocked
+  // executor/receiver/HTTP threads spawned during boot inherit the blocked
   // mask), install the handlers WITHOUT SA_RESTART (so a signal interrupts
   // the blocking stdin read instead of silently restarting it), and
   // unblock on the main thread only once boot is done — making main the
@@ -365,40 +536,44 @@ int main(int argc, char** argv) {
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
 
-  // Transport/socket failures at boot (bad --bind host, fd exhaustion) are
-  // typed: one crisp ERR line and exit 2 — the startup-failure code,
-  // distinct from protocol errors (1) — never an uncaught-exception abort.
+  // Socket failures at boot (bad --bind host, port in use, fd exhaustion)
+  // are typed too: never an uncaught-exception abort.
   std::unique_ptr<Daemon> daemon;
   try {
-    daemon = std::make_unique<Daemon>(bindHost, shards, *backend);
-    daemon->tracesOn = tracesOn;
-    if (!daemon->boot(n, joinSpec, maintenance, nodeCfg, mCfg, joinRetries)) {
-      return 2;
+    daemon = std::make_unique<Daemon>(f);
+    if (!daemon->boot(f)) return 2;
+    // Boot-time partition rules (comma-separated ip:port list).
+    std::istringstream specs(f.dropPeers);
+    std::string one;
+    while (std::getline(specs, one, ',')) {
+      net::PeerResolution p = daemon->transport.resolvePeer(one);
+      if (!p.ok()) {
+        throw StartupError("bad-flag", std::string("bad --drop-peers entry '") +
+                                           one + "' (" + p.errorName() + ")");
+      }
+      daemon->transport.dropPeer(p.addr);
     }
+    daemon->createSampler(f.statsIntervalMs, metricsOut);
+    if (f.httpPort) daemon->startHttp(f.udpHost, *f.httpPort, f.workers);
   } catch (const net::TransportError& e) {
     std::cerr << "ERR startup (" << e.kindName() << "): " << e.what() << "\n";
     return 2;
+  } catch (const StartupError& e) {
+    std::cerr << "ERR startup (" << e.kind << "): " << e.what() << "\n";
+    return 2;
   }
   Daemon& d = *daemon;
-  d.startSampler(statsIntervalMs, metricsOutPath, 0xD0DE);
+  d.startSamplerTick(f.statsIntervalMs);
 
-  // Boot-time partition rules (comma-separated ip:port list).
-  std::string dropSpec = opts.getString("drop-peers", "");
-  if (!dropSpec.empty()) {
-    std::istringstream specs(dropSpec);
-    std::string one;
-    while (std::getline(specs, one, ',')) {
-      net::PeerResolution p = d.transport->resolvePeer(one);
-      if (!p.ok()) {
-        std::cerr << "bad --drop-peers entry '" << one << "' ("
-                  << p.errorName() << ")\n";
-        return 2;
-      }
-      d.transport->dropPeer(p.addr);
-    }
+  if (d.server) {
+    std::cout << "gateway listening on http://" << d.server->config().bindHost
+              << ":" << d.server->port() << "\n";
+    std::cout << "gateway up: " << f.nodes << " node(s), " << f.workers
+              << " worker(s), cache=" << (f.cache ? "on" : "off")
+              << "; type 'help' for commands\n";
   }
-
-  std::cout << "cluster up: " << n << " node(s); type 'help' for commands\n";
+  std::cout << "cluster up: " << f.nodes
+            << " node(s); type 'help' for commands\n";
   pthread_sigmask(SIG_UNBLOCK, &stopSet, nullptr);
 
   bool anyError = false;
@@ -420,8 +595,12 @@ int main(int argc, char** argv) {
       std::cout << "OK commands: insert <res> <uri> <tag> [tag ...] | "
                    "tag <res> <tag> [tag ...] | search <tag> | "
                    "resolve <res> | ping <ip:port> | drop <ip:port> | "
-                   "undrop <ip:port>|all | stats | stats-json | trace | "
-                   "quit\n";
+                   "undrop <ip:port>|all | stats | stats-json | trace | quit"
+                << (d.server ? " (HTTP: /resources/{r}, /search, "
+                               "/resolve/{r}, /stats, /metrics, "
+                               "/debug/traces)"
+                             : "")
+                << "\n";
     } else if (cmd == "insert") {
       std::string res, uri, t;
       in >> res >> uri;
@@ -496,7 +675,7 @@ int main(int argc, char** argv) {
         fail("usage: ping <ip:port>");
         continue;
       }
-      net::PeerResolution p = d.transport->resolvePeer(spec);
+      net::PeerResolution p = d.transport.resolvePeer(spec);
       if (!p.ok()) {
         fail("ping " + spec + ": " + p.errorName());
         continue;
@@ -513,32 +692,32 @@ int main(int argc, char** argv) {
     } else if (cmd == "drop") {
       std::string spec;
       in >> spec;
-      net::PeerResolution p = d.transport->resolvePeer(spec);
+      net::PeerResolution p = d.transport.resolvePeer(spec);
       if (spec.empty() || !p.ok()) {
         fail("usage: drop <ip:port>" +
              (spec.empty() ? std::string()
                            : std::string(" (") + p.errorName() + ")"));
         continue;
       }
-      d.transport->dropPeer(p.addr);
+      d.transport.dropPeer(p.addr);
       std::cout << "OK drop " << net::formatAddress(p.addr)
-                << " (rules=" << d.transport->droppedPeerCount() << ")\n";
+                << " (rules=" << d.transport.droppedPeerCount() << ")\n";
     } else if (cmd == "undrop") {
       std::string spec;
       in >> spec;
       if (spec == "all") {
-        usize removed = d.transport->clearDroppedPeers();
+        usize removed = d.transport.clearDroppedPeers();
         std::cout << "OK undrop all (removed=" << removed << ")\n";
         continue;
       }
-      net::PeerResolution p = d.transport->resolvePeer(spec);
+      net::PeerResolution p = d.transport.resolvePeer(spec);
       if (spec.empty() || !p.ok()) {
         fail("usage: undrop <ip:port>|all" +
              (spec.empty() ? std::string()
                            : std::string(" (") + p.errorName() + ")"));
         continue;
       }
-      bool removed = d.transport->undropPeer(p.addr);
+      bool removed = d.transport.undropPeer(p.addr);
       std::cout << "OK undrop " << net::formatAddress(p.addr)
                 << " (removed=" << (removed ? 1 : 0) << ")\n";
     } else if (cmd == "stats") {
@@ -555,28 +734,40 @@ int main(int argc, char** argv) {
         rt0 = d.nodes[0]->routing().size();
         done();
       });
-      net::UdpStats s = d.transport->stats();
+      net::UdpStats s = d.transport.stats();
       std::cout << "OK stats: ops=" << cc.ops << " failures=" << cc.failures
                 << " lookups=" << cost.lookups << " rt=" << rt0
                 << " addr=" << net::formatAddress(d.nodes[0]->address())
-                << " droprules=" << d.transport->droppedPeerCount()
+                << " droprules=" << d.transport.droppedPeerCount()
                 << " cachehits=" << nc.cacheHits
                 << " storededup=" << nc.storesDeduplicated
                 << " | udp sent=" << s.sent << " received=" << s.received
                 << " bytes=" << s.bytesSent
                 << " oversize=" << s.droppedOversize
-                << " ruledrops=" << s.droppedByRule << "\n";
+                << " ruledrops=" << s.droppedByRule;
+      if (d.server) {
+        gateway::GatewayCounters g = d.server->counters();
+        std::cout << " | http accepted=" << g.connectionsAccepted
+                  << " closed=" << g.connectionsClosed
+                  << " dispatched=" << g.requestsDispatched
+                  << " responses=" << g.responses
+                  << " parseerrors=" << g.parseErrors
+                  << " overload=" << g.overloadRejected
+                  << " drain=" << g.drainRejected << " bytesin=" << g.bytesIn
+                  << " bytesout=" << g.bytesOut;
+      }
+      std::cout << "\n";
     } else if (cmd == "stats-json") {
       // One registry snapshot serves every surface: this is the same
-      // sampler the /metrics-out JSONL sink and (in the gateway daemon)
-      // GET /stats read, so no counter is reachable from only one of them.
+      // sampler the --metrics-out JSONL sink and GET /stats read, so no
+      // counter is reachable from only one of them.
       std::string json = core::awaitResult<std::string>(
           d.rt0(), [&](std::function<void(std::string)> done) {
             done(d.sampler->sampleNow().toJson());
           });
       std::cout << "OK stats-json " << json << "\n";
     } else if (cmd == "trace") {
-      if (!tracesOn) {
+      if (!f.traces) {
         fail("tracing disabled (--traces off)");
       } else {
         std::cout << "OK trace " << d.traces.renderJson(16) << "\n";
@@ -600,6 +791,8 @@ int main(int argc, char** argv) {
     std::cout << "OK shutdown signal="
               << (g_stopSignal == SIGTERM ? "term" : "int") << "\n";
   }
+  // Drain HTTP before the goodbye line: everything in flight is answered.
+  if (d.server) d.server->stop();
   std::cout << (anyError ? "done (with errors)\n" : "done\n");
   return anyError ? 1 : 0;
 }

@@ -2,10 +2,9 @@
 /// \file http_client.hpp
 /// \brief Minimal blocking HTTP/1.1 client for exercising the gateway.
 ///
-/// Shared by the e2e tests (tests/test_gateway.cpp), the throughput bench
-/// (bench/bench_gateway_throughput.cpp) and the cluster harness's
-/// availability probes — everything that needs to speak to the gateway
-/// over a real socket without linking curl. Keep-alive by default; one
+/// Shared by the e2e tests (tests/test_gateway.cpp) and the cluster
+/// harness's availability probes — everything that needs to speak to the
+/// gateway over a real socket without linking curl. Keep-alive by default; one
 /// response is read per request(); sendRaw()/readResponse() split the two
 /// halves for pipelining tests. Interim 1xx responses are skipped.
 ///

@@ -54,7 +54,8 @@ namespace dharma::gateway {
 
 /// Why start() failed. Startup failures are typed so daemons can print one
 /// crisp line and exit 2 instead of aborting on an exception (the
-/// bind-error contract shared with UdpTransport — see net::TransportError).
+/// bind-error contract shared with the UDP transport — see
+/// net::TransportError).
 enum class StartError : u8 {
   kNone = 0,        ///< listening
   kBadAddress,      ///< bind host is not a valid IPv4 literal
@@ -104,7 +105,7 @@ class GatewayServer {
  public:
   /// Engine-side taps, all optional. Both callbacks run on WORKER threads —
   /// implementations that read engine loop-thread state must post through
-  /// the runtime (see examples/dharma_gateway.cpp).
+  /// the runtime (see examples/dharma_node.cpp).
   struct Deps {
     core::DharmaClient* client = nullptr;  ///< required for the data routes
     /// Process-wide metrics registry backing GET /metrics and the /stats

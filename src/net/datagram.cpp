@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "net/epoll_transport.hpp"
-#include "net/udp_transport.hpp"
 
 namespace dharma::net {
 
@@ -40,53 +39,12 @@ PeerResolution DatagramTransport::resolvePeer(
   return res;
 }
 
-std::optional<NetBackend> parseNetBackend(const std::string& name) {
-  if (name == "poll") return NetBackend::kPoll;
-  if (name == "epoll") return NetBackend::kEpoll;
-  return std::nullopt;
-}
+NetBackend defaultNetBackend() { return NetBackend::kEpoll; }
 
-const char* netBackendName(NetBackend b) {
-  switch (b) {
-    case NetBackend::kPoll: return "poll";
-    case NetBackend::kEpoll: return "epoll";
-  }
-  return "unknown";
-}
-
-bool netBackendAvailable(NetBackend b) {
-#ifdef __linux__
-  (void)b;
-  return true;
-#else
-  return b == NetBackend::kPoll;
-#endif
-}
-
-NetBackend defaultNetBackend() {
-#ifdef __linux__
-  return NetBackend::kEpoll;
-#else
-  return NetBackend::kPoll;
-#endif
-}
-
-std::unique_ptr<DatagramTransport> makeDatagramTransport(NetBackend backend,
+std::unique_ptr<DatagramTransport> makeDatagramTransport(NetBackend /*kEpoll*/,
                                                          Executor& defaultExec,
                                                          UdpConfig cfg) {
-  switch (backend) {
-    case NetBackend::kPoll:
-      return std::make_unique<UdpTransport>(defaultExec, std::move(cfg));
-    case NetBackend::kEpoll:
-#ifdef __linux__
-      return std::make_unique<EpollTransport>(defaultExec, std::move(cfg));
-#else
-      break;
-#endif
-  }
-  throw std::invalid_argument(
-      std::string("makeDatagramTransport: backend '") + netBackendName(backend) +
-      "' is not available on this platform");
+  return std::make_unique<EpollTransport>(defaultExec, std::move(cfg));
 }
 
 }  // namespace dharma::net

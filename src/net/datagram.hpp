@@ -1,23 +1,17 @@
 #pragma once
 /// \file datagram.hpp
-/// \brief The UDP-socket transport family: one interface, pluggable event
-/// backends.
+/// \brief The UDP-socket transport surface shared by the daemons, the
+/// tests and the benchmark.
 ///
-/// PR 5 built one production transport (UdpTransport: a poll()-based
-/// receive thread). Breaking the single-loop throughput ceiling needs a
-/// second one — EpollTransport, a Linux event loop draining sockets with
-/// batched recvmmsg and coalescing sends via sendmmsg — without the
-/// daemons, benches, or the cluster harness caring which one they hold.
-/// This header is that seam (the same shape lokinet's llarp/ev/ uses for
-/// its epoll/kqueue/libuv backends): DatagramTransport extends Transport
-/// with the socket-world surface every backend shares (typed peer
-/// resolution, partition fault injection, traffic counters, explicit
-/// close), NetBackend names the selectable implementations, and
-/// makeDatagramTransport() is the one switch point.
+/// DatagramTransport extends Transport with the socket-world surface every
+/// real UDP transport has (typed peer resolution, partition fault
+/// injection, traffic counters, explicit close). Its one implementation is
+/// EpollTransport (net/epoll_transport.hpp): an epoll event loop draining
+/// sockets with batched recvmmsg and coalescing sends via sendmmsg.
 ///
 /// Shared vocabulary types (TransportError, UdpStats, PeerResolution,
-/// UdpConfig) live here so both backends — and any future io_uring one —
-/// speak identical failure and stats language.
+/// UdpConfig) live here so every caller speaks one failure and stats
+/// language.
 
 #include <memory>
 #include <optional>
@@ -67,10 +61,9 @@ class TransportError : public std::runtime_error {
 };
 
 /// Aggregate traffic counters (mirrors NetworkStats where meaningful).
-/// `sent` means accepted by sendto()/sendmmsg(); on the epoll backend that
-/// happens on the event thread, a queue hop after send() returned — the
-/// datagram-network contract ("an attempt, not delivery") already allows
-/// the gap.
+/// `sent` means accepted by sendmmsg(); that happens on the event thread,
+/// a queue hop after send() returned — the datagram-network contract ("an
+/// attempt, not delivery") already allows the gap.
 struct UdpStats {
   u64 sent = 0;             ///< datagrams accepted by the kernel send call
   u64 received = 0;         ///< datagrams handed to an endpoint handler
@@ -152,31 +145,19 @@ class DatagramTransport : public Transport {
   virtual const UdpConfig& config() const = 0;
 };
 
-/// Selectable event backend behind DatagramTransport.
+/// The event backend behind DatagramTransport. epoll is the only one; the
+/// enum and factory keep one construction call for callers that do not
+/// name the concrete class.
 enum class NetBackend : u8 {
-  kPoll,   ///< portable poll() receive thread (UdpTransport)
   kEpoll,  ///< Linux epoll + recvmmsg/sendmmsg (EpollTransport)
 };
 
-/// Parses "poll"/"epoll"; nullopt on anything else.
-std::optional<NetBackend> parseNetBackend(const std::string& name);
-
-const char* netBackendName(NetBackend b);
-
-/// True when this build can instantiate the backend (kEpoll is
-/// Linux-only; kPoll always works).
-bool netBackendAvailable(NetBackend b);
-
-/// The preferred backend on this platform: kEpoll where available (the
-/// batched fast path), kPoll elsewhere.
 NetBackend defaultNetBackend();
 
 /// Instantiates \p backend. \p defaultExec is where deliveries for
 /// endpoints registered without an explicit executor are posted (and must
 /// be thread-safe — a RealTimeExecutor). Throws TransportError
-/// (kBadAddress/kSocketFailed) like the concrete constructors; requesting
-/// an unavailable backend throws std::invalid_argument — callers gate on
-/// netBackendAvailable() first.
+/// (kBadAddress/kSocketFailed) like the concrete constructor.
 std::unique_ptr<DatagramTransport> makeDatagramTransport(NetBackend backend,
                                                          Executor& defaultExec,
                                                          UdpConfig cfg);

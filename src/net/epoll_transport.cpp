@@ -1,5 +1,3 @@
-#ifdef __linux__
-
 #include "net/epoll_transport.hpp"
 
 #include <arpa/inet.h>
@@ -419,5 +417,3 @@ void EpollTransport::eventLoop() {
 }
 
 }  // namespace dharma::net
-
-#endif  // __linux__

@@ -1,16 +1,13 @@
 #pragma once
 /// \file epoll_transport.hpp
-/// \brief Linux batched-I/O UDP backend: epoll + recvmmsg/sendmmsg.
+/// \brief Linux batched-I/O UDP transport: epoll + recvmmsg/sendmmsg.
 ///
-/// The throughput backend behind the DatagramTransport seam (Linux only;
-/// the portable poll() backend is net/udp_transport.hpp). Three things
-/// distinguish it from the poll backend, each attacking a per-datagram
-/// cost the throughput bench showed dominating the runtime:
+/// The one implementation behind the DatagramTransport seam. Three things
+/// shape it, each attacking a per-datagram cost:
 ///
-///  1. **epoll instead of a poll() set rebuild.** One event thread blocks
-///     in epoll_wait(-1) with every endpoint socket registered once; a new
-///     endpoint is one epoll_ctl, not a wakeup plus a full fd-set
-///     re-snapshot per cycle.
+///  1. **epoll.** One event thread blocks in epoll_wait(-1) with every
+///     endpoint socket registered once; a new endpoint is one epoll_ctl,
+///     not a wakeup plus a full fd-set re-snapshot per cycle.
 ///  2. **Batched receive, batched delivery.** A ready socket is drained
 ///     with recvmmsg (up to 32 datagrams per syscall) and each drained
 ///     batch is posted to the endpoint's executor as ONE task that runs
@@ -25,17 +22,13 @@
 ///     an RPC burst pay one eventfd write for the whole burst, and sendto
 ///     syscalls collapse ~batch-fold. It also means ONLY the event thread
 ///     performs socket I/O — sockets are closed strictly after that thread
-///     joins, so no send can race a close into a recycled fd (the poll
-///     backend holds the global lock across sendto for the same reason;
-///     here the lock covers only the queue append).
+///     joins, so no send can race a close into a recycled fd; the lock
+///     covers only the queue append.
 ///
-/// Everything protocol-visible — addressing, MTU rejection, partition
-/// rules, stats vocabulary — matches the poll backend; the transport
-/// conformance suite runs over both. The one observable difference is
-/// documented on UdpStats::sent: acceptance by the kernel happens a queue
-/// hop after send() returns.
-
-#ifdef __linux__
+/// The transport conformance suite (tests/test_transport.cpp) pins the
+/// protocol-visible behaviour: addressing, MTU rejection, partition rules,
+/// stats vocabulary. UdpStats::sent documents the one queue hop: acceptance
+/// by the kernel happens after send() returns.
 
 #include <memory>
 #include <string>
@@ -112,9 +105,9 @@ class EpollTransport final : public DatagramTransport {
   };
 
   /// State reachable from executor-posted delivery tasks. Held by
-  /// shared_ptr and captured as weak_ptr in those tasks, exactly like the
-  /// poll backend: a batch still queued on some shard when the transport
-  /// dies locks nothing stale. Nothing here references the transport.
+  /// shared_ptr and captured as weak_ptr in those tasks: a batch still
+  /// queued on some shard when the transport dies locks nothing stale.
+  /// Nothing here references the transport.
   struct Shared {
     Mutex mu;
     std::unordered_map<Address, Endpoint> endpoints GUARDED_BY(mu);
@@ -152,5 +145,3 @@ class EpollTransport final : public DatagramTransport {
 };
 
 }  // namespace dharma::net
-
-#endif  // __linux__

@@ -4,9 +4,9 @@
 /// per-engine affinity.
 ///
 /// The single RealTimeExecutor serializes every protocol callback in the
-/// process onto one thread — the ~4k ops/s ceiling bench_realtime_throughput
-/// measured. Sharding keeps the contract that makes the engine lock-free
-/// while multiplying the loops: each KademliaNode (with its
+/// process onto one thread — a ~4k ops/s ceiling on loopback UDP. Sharding
+/// keeps the contract that makes the engine lock-free while multiplying
+/// the loops: each KademliaNode (with its
 /// MaintenanceManager and RecordCache) is ASSIGNED to exactly one shard at
 /// construction and every one of its callbacks — datagram deliveries
 /// (via Transport::registerEndpoint(handler, exec)), timers, client ops —
@@ -24,8 +24,8 @@
 ///   dharma_node_shard_task_run_us{shard="i"}   callback run time
 ///   dharma_node_shard_task_wait_us{shard="i"}  scheduling lag past deadline
 ///   dharma_node_shard_queue_depth{shard="i"}   live tasks in the queue
-/// — the per-shard p50/p99s bench_realtime_throughput prints and the
-/// queue-depth gauges OBSERVABILITY.md documents.
+/// — the per-shard series the repo benchmark's net.shard_* metrics read and
+/// the queue-depth gauges OBSERVABILITY.md documents.
 
 #include <atomic>
 #include <memory>

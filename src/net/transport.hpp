@@ -8,8 +8,8 @@
 ///  - net::Network (alias net::SimTransport): the simulated datagram
 ///    network — latency model, loss process, MTU enforcement, scripted
 ///    crashes — delivering via the Simulator. Deterministic per seed.
-///  - net::UdpTransport (net/udp_transport.hpp): real POSIX UDP sockets on
-///    the loopback (or any) interface; a receive thread hands datagrams to
+///  - net::EpollTransport (net/epoll_transport.hpp): real UDP sockets on
+///    the loopback (or any) interface; an event thread hands datagrams to
 ///    the node's executor, so protocol callbacks still run one at a time.
 ///
 /// Semantics shared by all implementations (the paper runs DHARMA "on UDP
@@ -33,7 +33,7 @@ namespace dharma::net {
 class Executor;  // net/executor.hpp; referenced by the sharding overload
 
 /// Endpoint address: a 48-bit (IPv4, port) pair packed into a u64 —
-/// `(ip << 16) | port`, both in host byte order. On UdpTransport the
+/// `(ip << 16) | port`, both in host byte order. On EpollTransport the
 /// Address IS the wire address of the endpoint's socket, so the Contacts
 /// nodes gossip in FIND_NODE replies stay routable between processes on
 /// different hosts with no translation layer. The simulated network keeps

@@ -1,11 +1,12 @@
 /// \file test_gateway_protocol.cpp
-/// \brief Real-process coverage for the dharma_gateway daemon: boot
-/// banners, HTTP round trips against the child's real listener, the typed
-/// startup-failure contract (port already bound, nonsense bind address —
-/// one crisp ERR line on stderr, exit code 2, never an uncaught-exception
-/// abort), and the SIGTERM graceful-drain path. The dharma_node daemon's
-/// matching transport-level startup failure rides along, so BOTH binaries
-/// keep the exit-code taxonomy.
+/// \brief Real-process coverage for the daemon with HTTP on (the
+/// dharma_gateway target): boot banners, HTTP round trips against the
+/// child's real listener, one engine behind both the line protocol and
+/// HTTP, the typed startup-failure contract (port already bound, nonsense
+/// bind address, malformed flag — one crisp ERR line on stderr, exit code
+/// 2, never an uncaught-exception abort), and the SIGTERM graceful-drain
+/// path. The dharma_node target's transport-level startup failure rides
+/// along, so BOTH targets keep the exit-code taxonomy.
 
 #include <csignal>
 #include <string>
@@ -75,6 +76,31 @@ TEST(GatewayProtocol, BootServesHttpAndQuitsClean) {
   EXPECT_EQ(st->code, 0);
 }
 
+TEST(GatewayProtocol, LineProtocolWriteIsReadableOverHttp) {
+  // One engine behind both surfaces: a resource inserted through stdin
+  // resolves through the HTTP listener of the same process.
+  std::signal(SIGPIPE, SIG_IGN);
+  NodeProcess proc;
+  u16 port = bootGateway(proc, {});
+  ASSERT_NE(port, 0) << "gateway never printed its listening banner";
+
+  auto ins = proc.command("insert r uri://r t", kExitMs);
+  ASSERT_TRUE(ins.has_value());
+  EXPECT_EQ(ins->rfind("OK inserted r", 0), 0u) << *ins;
+
+  gateway::HttpClient http;
+  ASSERT_TRUE(http.connect("127.0.0.1", port));
+  auto res = http.request("GET", "/resolve/r");
+  ASSERT_TRUE(res.has_value());
+  EXPECT_EQ(res->status, 200);
+  EXPECT_NE(res->body.find("uri://r"), std::string::npos) << res->body;
+
+  ASSERT_TRUE(proc.sendLine("quit"));
+  auto st = proc.wait(kExitMs);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->code, 0);
+}
+
 TEST(GatewayProtocol, SecondDaemonOnSamePortExitsStartupCode) {
   std::signal(SIGPIPE, SIG_IGN);
   NodeProcess first;
@@ -109,6 +135,19 @@ TEST(GatewayProtocol, BadBindAddressExitsStartupCode) {
   NodeProcess proc;
   ASSERT_TRUE(proc.spawn(DHARMA_GATEWAY_BIN,
                          {"--bind", "999.1.2.3:0", "--nodes", "1"}));
+  auto st = proc.wait(kExitMs);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_TRUE(st->exited);
+  EXPECT_EQ(st->code, 2);
+}
+
+TEST(GatewayProtocol, NonNumericWorkersExitsStartupCode) {
+  NodeProcess proc;
+  ASSERT_TRUE(proc.spawn(DHARMA_GATEWAY_BIN,
+                         {"--bind", "127.0.0.1:0", "--nodes", "1",
+                          "--workers", "x"}));
+  EXPECT_FALSE(
+      proc.readLineWithPrefix("node 0 listening", kExitMs).has_value());
   auto st = proc.wait(kExitMs);
   ASSERT_TRUE(st.has_value());
   EXPECT_TRUE(st->exited);

@@ -235,6 +235,33 @@ TEST(NodeProtocolBoot, DropPeersFlagInstallsRules) {
   p.wait(5000);
 }
 
+/// Flags the daemon cannot run with are refused before any node binds a
+/// socket: exit 2 and no listening banner (the typed "ERR startup" line
+/// goes to stderr).
+void expectStartupRefusal(const std::vector<std::string>& args) {
+  std::signal(SIGPIPE, SIG_IGN);
+  NodeProcess p;
+  ASSERT_TRUE(p.spawn(DHARMA_NODE_BIN, args));
+  EXPECT_FALSE(p.readLineWithPrefix("node 0 listening", kBootMs).has_value());
+  auto es = p.wait(kBootMs);
+  ASSERT_TRUE(es.has_value());
+  EXPECT_TRUE(es->exited);
+  EXPECT_EQ(es->code, 2);
+}
+
+TEST(NodeProtocolBoot, NonNumericNodesExitsTwo) {
+  expectStartupRefusal({"--nodes", "abc"});
+}
+
+TEST(NodeProtocolBoot, NonNumericShardsExitsTwo) {
+  expectStartupRefusal({"--nodes", "1", "--shards", "abc"});
+}
+
+TEST(NodeProtocolBoot, UnopenableMetricsOutExitsTwo) {
+  expectStartupRefusal(
+      {"--nodes", "1", "--metrics-out", "/nonexistent-dir/m.jsonl"});
+}
+
 TEST(NodeProtocolBoot, BadJoinSpecExitsTwo) {
   std::signal(SIGPIPE, SIG_IGN);
   NodeProcess p;

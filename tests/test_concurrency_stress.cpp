@@ -3,8 +3,8 @@
 ///
 /// The PR-5 seam has exactly two places where arbitrary threads meet the
 /// protocol world: RealTimeExecutor's task queue (producers scheduling and
-/// cancelling against the run loop and against stop()) and UdpTransport's
-/// shared endpoint table (setHandler swaps against the receive thread and
+/// cancelling against the run loop and against stop()) and EpollTransport's
+/// shared endpoint table (setHandler swaps against the event thread and
 /// executor-side delivery lookups). These tests hammer precisely those
 /// windows with enough threads to give TSan (CI's gcc-tsan job) something
 /// to bite on, while asserting the observable invariants — every task
@@ -18,7 +18,7 @@
 ///
 /// Iteration counts are sized for Debug+TSan wall clock (the whole file
 /// stays under a few seconds there); the suites carry the
-/// RealTimeExecutor/ShardedExecutor/UdpTransport prefixes so CI's
+/// RealTimeExecutor/ShardedExecutor/EpollTransport prefixes so CI's
 /// real-time ctest slice (-R 'RealTimeExecutor|ShardedExecutor|...') runs
 /// them under every sanitizer in the matrix.
 
@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "net/datagram.hpp"
+#include "net/epoll_transport.hpp"
 #include "net/realtime.hpp"
 #include "net/sharded.hpp"
-#include "net/udp_transport.hpp"
 
 namespace dharma::net {
 namespace {
@@ -235,10 +235,10 @@ TEST(ShardedExecutorStress, ConcurrentStopCalls) {
   EXPECT_FALSE(execs.running());
 }
 
-TEST(UdpTransportStress, SetHandlerVsReceiveSwap) {
+TEST(EpollTransportStress, SetHandlerVsReceiveSwap) {
   RealTimeExecutor exec;
   exec.start();
-  UdpTransport tx(exec);
+  EpollTransport tx(exec);
   std::atomic<int> viaA{0};
   std::atomic<int> viaB{0};
   Address dst = tx.registerEndpoint(
@@ -253,7 +253,7 @@ TEST(UdpTransportStress, SetHandlerVsReceiveSwap) {
     }
     senderDone.store(true);
   });
-  // Swap the destination handler continuously against the receive thread's
+  // Swap the destination handler continuously against the event thread's
   // delivery lookups — the exact window a node restart exercises.
   int swaps = 0;
   while (!senderDone.load()) {
@@ -281,10 +281,10 @@ TEST(UdpTransportStress, SetHandlerVsReceiveSwap) {
   EXPECT_LE(viaA.load() + viaB.load(), kDatagrams);
 }
 
-TEST(UdpTransportStress, CloseDuringTraffic) {
+TEST(EpollTransportStress, CloseDuringTraffic) {
   RealTimeExecutor exec;
   exec.start();
-  UdpTransport tx(exec);
+  EpollTransport tx(exec);
   std::atomic<int> delivered{0};
   Address dst = tx.registerEndpoint(
       [&delivered](Address, const std::vector<u8>&) { delivered.fetch_add(1); });
@@ -298,16 +298,16 @@ TEST(UdpTransportStress, CloseDuringTraffic) {
     }
   });
   sleepMs(2);
-  tx.close();  // races the sender AND the receive thread's snapshot loop
+  tx.close();  // races the sender AND the event thread
   sender.join();
   exec.stop();
   EXPECT_LE(delivered.load(), 2000);
 }
 
-TEST(UdpTransportStress, PartitionRulesUnderTraffic) {
+TEST(EpollTransportStress, PartitionRulesUnderTraffic) {
   RealTimeExecutor exec;
   exec.start();
-  UdpTransport tx(exec);
+  EpollTransport tx(exec);
   std::atomic<int> delivered{0};
   Address dst = tx.registerEndpoint(
       [&delivered](Address, const std::vector<u8>&) { delivered.fetch_add(1); });

@@ -16,8 +16,8 @@
 #include "core/runtime.hpp"
 #include "gateway/http_client.hpp"
 #include "gateway/server.hpp"
+#include "net/epoll_transport.hpp"
 #include "net/realtime.hpp"
-#include "net/udp_transport.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -39,7 +39,7 @@ dht::NodeConfig smallConfig() {
 /// runtime), then the executor, then the sockets.
 struct GatewayFixture {
   net::RealTimeExecutor exec;
-  net::UdpTransport transport{exec};
+  net::EpollTransport transport{exec};
   crypto::CertificationService cs{"gw-test-secret"};
   core::RealTimeRuntime rt{exec, transport};
   obs::MetricsRegistry registry;

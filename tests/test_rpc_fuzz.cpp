@@ -1,6 +1,6 @@
 /// Fuzz-style decode hardening tests (dht/rpc.cpp, util/buffer.cpp).
 ///
-/// With UdpTransport, RPC payloads arrive from a real socket: every decoder
+/// Over real UDP, RPC payloads arrive from a socket: every decoder
 /// is now a trust boundary. The property under test is *clean rejection*:
 /// for ANY input — truncated, bit-flipped, oversized counts, random bytes —
 /// a decoder either succeeds or throws DecodeError. Nothing else may

@@ -1,17 +1,17 @@
 /// Cross-transport conformance suite: the SAME join → put → get → tag test
 /// body runs against the deterministic SimTransport/SimExecutor pair,
-/// against real loopback-UDP sockets under the RealTimeExecutor (both the
-/// portable poll() backend and, on Linux, the epoll/recvmmsg one), and
-/// against a two-shard ShardedExecutor where nodes live on different loop
-/// threads. What it proves is the tentpole claim of the transport refactor:
-/// KademliaNode, DharmaClient and friends contain no simulation-isms —
-/// identical protocol code, identical cost identities, on every runtime.
+/// against real loopback-UDP sockets (EpollTransport) under the
+/// RealTimeExecutor, and against a two-shard ShardedExecutor where nodes
+/// live on different loop threads. What it proves is the tentpole claim of
+/// the transport refactor: KademliaNode, DharmaClient and friends contain
+/// no simulation-isms — identical protocol code, identical cost
+/// identities, on every runtime.
 ///
-/// Plus DatagramTransport units typed over both concrete backends: MTU
-/// rejection, drop rules, handler swap, close semantics, and the
-/// close-latency regression pin (the receive loop used to tick a 200 ms
-/// poll timeout; wakeups are event-driven now and close() must not wait a
-/// tick out).
+/// Plus DatagramTransport units on EpollTransport: MTU rejection, peer
+/// resolution, drop rules, handler swap, close semantics, and the
+/// close-latency regression pin (an earlier receive loop ticked a 200 ms
+/// poll timeout; wakeups are event-driven and close() must not wait a tick
+/// out).
 
 #include <gtest/gtest.h>
 
@@ -24,16 +24,12 @@
 #include "core/client.hpp"
 #include "core/runtime.hpp"
 #include "net/datagram.hpp"
+#include "net/epoll_transport.hpp"
 #include "net/latency.hpp"
 #include "net/network.hpp"
 #include "net/realtime.hpp"
 #include "net/sharded.hpp"
 #include "net/simulator.hpp"
-#include "net/udp_transport.hpp"
-
-#ifdef __linux__
-#include "net/epoll_transport.hpp"
-#endif
 
 namespace dharma {
 namespace {
@@ -67,34 +63,7 @@ struct SimBackend {
   core::Runtime& runtimeFor(usize) { return rt; }
 };
 
-/// Wall-clock backend: loopback UDP sockets, real-time executor.
-struct UdpBackend {
-  net::RealTimeExecutor exec;
-  net::UdpTransport transport{exec};
-  crypto::CertificationService cs{"conformance-secret"};
-  core::RealTimeRuntime rt{exec, transport};
-  std::vector<std::unique_ptr<dht::KademliaNode>> nodes;
-
-  UdpBackend() { exec.start(); }
-  ~UdpBackend() {
-    // Teardown order matters: stop the loop (no more protocol callbacks),
-    // then close sockets, then members die in reverse declaration order.
-    exec.stop();
-    transport.close();
-  }
-
-  void makeNodes(usize n) {
-    for (usize i = 0; i < n; ++i) {
-      nodes.push_back(std::make_unique<dht::KademliaNode>(
-          exec, transport, cs, cs.enroll("user-" + std::to_string(i)),
-          smallConfig(), 1000 + i));
-    }
-  }
-  core::Runtime& runtimeFor(usize) { return rt; }
-};
-
-#ifdef __linux__
-/// Wall-clock backend over the epoll/recvmmsg transport, single loop.
+/// Wall-clock backend: loopback UDP sockets (epoll/recvmmsg), single loop.
 struct EpollBackend {
   net::RealTimeExecutor exec;
   net::EpollTransport transport{exec};
@@ -146,17 +115,12 @@ struct ShardedEpollBackend {
   }
   core::Runtime& runtimeFor(usize i) { return rt.forShard(execs.shardOf(i)); }
 };
-#endif  // __linux__
 
 template <typename Backend>
 class TransportConformance : public ::testing::Test {};
 
-#ifdef __linux__
-using Backends = ::testing::Types<SimBackend, UdpBackend, EpollBackend,
-                                  ShardedEpollBackend>;
-#else
-using Backends = ::testing::Types<SimBackend, UdpBackend>;
-#endif
+using Backends =
+    ::testing::Types<SimBackend, EpollBackend, ShardedEpollBackend>;
 TYPED_TEST_SUITE(TransportConformance, Backends, );
 
 /// Boots \p b with \p n joined nodes (everyone bootstraps through node 0).
@@ -211,7 +175,7 @@ TYPED_TEST(TransportConformance, LargeBatchSplitsAcrossMtuChunks) {
   boot(b, 5);
 
   // ~100 tokens * ~60 wire bytes >> 1400-byte MTU: putMany must chunk the
-  // STORE batch on either transport, and the merged view must come back
+  // STORE batch on every transport, and the merged view must come back
   // complete.
   dht::NodeId key = dht::NodeId::fromString("big-block");
   std::vector<dht::StoreToken> tokens;
@@ -270,9 +234,7 @@ TYPED_TEST(TransportConformance, ClientProtocolAndCostIdentities) {
 }
 
 // ---------------------------------------------------------------------------
-// DatagramTransport units, typed over both concrete backends: the
-// poll()-based UdpTransport everywhere, plus EpollTransport on Linux. One
-// body, two syscall paths.
+// DatagramTransport units on EpollTransport.
 // ---------------------------------------------------------------------------
 
 template <typename Transport>
@@ -288,12 +250,7 @@ class DatagramTransportConformance : public ::testing::Test {
   }
 };
 
-#ifdef __linux__
-using DatagramBackends =
-    ::testing::Types<net::UdpTransport, net::EpollTransport>;
-#else
-using DatagramBackends = ::testing::Types<net::UdpTransport>;
-#endif
+using DatagramBackends = ::testing::Types<net::EpollTransport>;
 TYPED_TEST_SUITE(DatagramTransportConformance, DatagramBackends, );
 
 TYPED_TEST(DatagramTransportConformance, OversizePayloadRejectedSynchronously) {
@@ -305,10 +262,10 @@ TYPED_TEST(DatagramTransportConformance, OversizePayloadRejectedSynchronously) {
   EXPECT_TRUE(t.send(a, bAddr, std::vector<u8>(64, 0x7f)));
 }
 
-TEST(UdpTransport, ResolvePeerParsesAnyNumericIpv4) {
+TEST(EpollTransport, ResolvePeerParsesAnyNumericIpv4) {
   constexpr u32 kLoopbackIp = 0x7F000001;  // 127.0.0.1 in host order
   net::RealTimeExecutor exec;
-  net::UdpTransport t(exec);
+  net::EpollTransport t(exec);
 
   auto r = t.resolvePeer("127.0.0.1:9000");
   ASSERT_TRUE(r.ok());
@@ -331,9 +288,9 @@ TEST(UdpTransport, ResolvePeerParsesAnyNumericIpv4) {
   EXPECT_EQ(net::formatAddress(r.addr), "10.0.0.1:9000");
 }
 
-TEST(UdpTransport, ResolvePeerSurfacesTypedErrors) {
+TEST(EpollTransport, ResolvePeerSurfacesTypedErrors) {
   net::RealTimeExecutor exec;
-  net::UdpTransport t(exec);
+  net::EpollTransport t(exec);
 
   auto r = t.resolvePeer("not-a-host:9000");
   EXPECT_FALSE(r.ok());
